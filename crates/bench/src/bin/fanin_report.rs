@@ -1,17 +1,13 @@
 //! Fan-in benchmark of the comms server: N concurrent TCP workers
 //! driving full elastic rounds (Step-❷ pull + Step-❸ submit) against one
-//! reference shard, for the epoll reactor versus the thread-per-connection
-//! accept loop. Writes `BENCH_6.json`.
+//! reference shard on the epoll reactor. Writes `BENCH_6.json`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin fanin_report
 //! cargo run -p bench --release --bin fanin_report -- --rounds 10 --dim 64
 //! ```
 //!
-//! The sweep climbs 16 → 1024 workers on the reactor; the
-//! thread-per-connection baseline stops at 256 (two OS threads per
-//! connection makes 1024 a thread-scheduler benchmark, not a comms one —
-//! the skip is logged, not silent). Per-round latency percentiles are
+//! The sweep climbs 16 → 1024 workers. Per-round latency percentiles are
 //! measured at the workers; server CPU is attributed by summing
 //! utime+stime of the `ea-reactor-*` threads from `/proc/self/task`.
 
@@ -20,7 +16,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use ea_comms::reactor::ReactorConfig;
-use ea_comms::{RetryConfig, ShardClient, TcpConfig, TcpServer, TcpTransport};
+use ea_comms::{RetryConfig, ShardClient, TcpConfig, TcpTransport};
 use ea_runtime::RefShardServer;
 
 /// Linux USER_HZ: the unit of utime/stime in `/proc/*/stat`. Fixed at
@@ -28,9 +24,6 @@ use ea_runtime::RefShardServer;
 const TICKS_PER_SEC: f64 = 100.0;
 
 const SWEEP: &[usize] = &[16, 64, 256, 1024];
-/// Thread-per-connection ceiling: beyond this the baseline measures the
-/// scheduler, not the protocol.
-const THREADED_CAP: usize = 256;
 
 struct RunStats {
     workers: usize,
@@ -42,21 +35,16 @@ struct RunStats {
     p95_us: f64,
     p99_us: f64,
     process_cpu_s: f64,
-    /// CPU spent on `ea-reactor-*` threads; `None` for the baseline
-    /// (its per-connection threads are anonymous).
-    server_cpu_s: Option<f64>,
+    /// CPU spent on `ea-reactor-*` threads.
+    server_cpu_s: f64,
 }
 
 impl RunStats {
     fn to_json(&self) -> String {
-        let server = match self.server_cpu_s {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_string(),
-        };
         format!(
             "{{\"workers\": {}, \"rounds\": {}, \"wall_s\": {:.3}, \"rounds_per_s\": {:.2}, \
              \"exchanges_per_s\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"process_cpu_s\": {:.3}, \"server_cpu_s\": {}}}",
+             \"p99_us\": {:.1}, \"process_cpu_s\": {:.3}, \"server_cpu_s\": {:.3}}}",
             self.workers,
             self.rounds,
             self.wall_s,
@@ -66,7 +54,7 @@ impl RunStats {
             self.p95_us,
             self.p99_us,
             self.process_cpu_s,
-            server
+            self.server_cpu_s
         )
     }
 }
@@ -165,7 +153,7 @@ fn run_stats(
     wall_s: f64,
     mut samples: Vec<f64>,
     process_cpu: f64,
-    server_cpu: Option<f64>,
+    server_cpu: f64,
 ) -> RunStats {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     RunStats {
@@ -194,20 +182,7 @@ fn bench_reactor(workers: usize, rounds: u64, dim: usize, threads: usize) -> Run
     let cpu = process_cpu_s() - cpu0;
     let srv = threads_cpu_s("ea-reactor") - srv0;
     reactor.shutdown();
-    run_stats(workers, rounds, wall_s, samples, cpu, Some(srv))
-}
-
-fn bench_threaded(workers: usize, rounds: u64, dim: usize) -> RunStats {
-    let server = RefShardServer::from_initial_weights(vec![vec![0.0; dim]], workers);
-    let tcp = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-    let addr = tcp.local_addr().expect("local_addr");
-    // The accept thread (and its per-connection threads) outlive the run;
-    // they idle on dead sockets until process exit.
-    let _serve = server.serve_background(Box::new(tcp));
-    let cpu0 = process_cpu_s();
-    let (samples, wall_s) = drive_workers(addr, workers, rounds, dim);
-    let cpu = process_cpu_s() - cpu0;
-    run_stats(workers, rounds, wall_s, samples, cpu, None)
+    run_stats(workers, rounds, wall_s, samples, cpu, srv)
 }
 
 fn main() {
@@ -233,47 +208,18 @@ fn main() {
         let s = bench_reactor(n, rounds, dim, threads);
         println!(
             "  reactor  {:>5} workers   {:>8.1} rounds/s   p50 {:>9.1}us  p95 {:>9.1}us  p99 {:>9.1}us   server cpu {:.3}s",
-            s.workers, s.rounds_per_s, s.p50_us, s.p95_us, s.p99_us, s.server_cpu_s.unwrap_or(0.0)
+            s.workers, s.rounds_per_s, s.p50_us, s.p95_us, s.p99_us, s.server_cpu_s
         );
         reactor_rows.push(s);
     }
 
-    let mut threaded_rows = Vec::new();
-    for &n in SWEEP {
-        if n > THREADED_CAP {
-            println!(
-                "  threaded {n:>5} workers   skipped (baseline capped at {THREADED_CAP} connections)"
-            );
-            continue;
-        }
-        let s = bench_threaded(n, rounds, dim);
-        println!(
-            "  threaded {:>5} workers   {:>8.1} rounds/s   p50 {:>9.1}us  p95 {:>9.1}us  p99 {:>9.1}us",
-            s.workers, s.rounds_per_s, s.p50_us, s.p95_us, s.p99_us
-        );
-        threaded_rows.push(s);
-    }
-
-    let speedup_at_cap = {
-        let r = reactor_rows.iter().find(|s| s.workers == THREADED_CAP);
-        let t = threaded_rows.iter().find(|s| s.workers == THREADED_CAP);
-        match (r, t) {
-            (Some(r), Some(t)) => r.rounds_per_s / t.rounds_per_s,
-            _ => f64::NAN,
-        }
-    };
     let max_reactor = reactor_rows.last().map_or(0, |s| s.workers);
-    println!(
-        "  reactor sustains {max_reactor} workers; round throughput at {THREADED_CAP}: {speedup_at_cap:.2}x vs thread-per-connection"
-    );
+    println!("  reactor sustains {max_reactor} workers");
 
-    let rows = |v: &[RunStats]| {
-        v.iter().map(|s| format!("    {}", s.to_json())).collect::<Vec<_>>().join(",\n")
-    };
+    let rows: Vec<String> = reactor_rows.iter().map(|s| format!("    {}", s.to_json())).collect();
     let json = format!(
-        "{{\n  \"bench\": \"fanin_report\",\n  \"rounds\": {rounds},\n  \"dim\": {dim},\n  \"reactor_threads\": {threads},\n  \"max_workers_sustained\": {max_reactor},\n  \"speedup_at_{THREADED_CAP}_workers\": {speedup_at_cap:.3},\n  \"reactor\": [\n{}\n  ],\n  \"thread_per_connection\": [\n{}\n  ]\n}}\n",
-        rows(&reactor_rows),
-        rows(&threaded_rows),
+        "{{\n  \"bench\": \"fanin_report\",\n  \"rounds\": {rounds},\n  \"dim\": {dim},\n  \"reactor_threads\": {threads},\n  \"max_workers_sustained\": {max_reactor},\n  \"reactor\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
     );
     std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
     println!("  [saved BENCH_6.json]");

@@ -1,12 +1,17 @@
 //! The simulated actors: shard servers and elastic workers.
 //!
 //! The server actor is a thin message pump around the **production**
-//! [`ShardServerCore`] — lease accounting, idempotent submits, quorum
-//! application, checkpoint capture all run the real code on virtual time.
-//! The worker actor mirrors `ElasticWorker` + `SupervisedWorker` as an
-//! explicit state machine (connect → resync → pull → submit → …) driving
-//! the real wire messages and the real [`ErrorFeedback`], with synthetic
-//! deterministic deltas in place of actual training.
+//! [`ServerCore`] — the same type the epoll reactor dispatches to. Lease
+//! accounting, idempotent submits, quorum application, parked pulls and
+//! their deadlines, and checkpoint capture all run the real code on
+//! virtual time: the actor calls the core's reactor callbacks
+//! (`on_message`, `poll`, `on_disconnect`) with [`ConnId::from_raw`] ids
+//! and sends whatever the core staged in its [`Outbox`] through the
+//! simulated network. The worker actor mirrors `ElasticWorker` +
+//! `SupervisedWorker` as an explicit state machine (connect → resync →
+//! pull → submit → …) driving the real wire messages and the real
+//! [`ErrorFeedback`], with synthetic deterministic deltas in place of
+//! actual training.
 //!
 //! Crash/restart is modeled at process granularity: a crash drops all
 //! in-memory state (the simulated "disk" keeps the last checkpoint), and
@@ -19,9 +24,11 @@ use crate::oracle::weights_hash;
 use crate::sched::hash_f32;
 use crate::sim::{SimConfig, SimCtx};
 use crate::{Addr, Event, STimer, WTimer};
+use ea_comms::reactor::{ConnId, DisconnectReason, Drained, Outbox, ReactorHandler};
 use ea_comms::Message;
+use ea_comms::ReactorConfig;
 use ea_optim::Codec;
-use ea_runtime::{ConnState, ErrorFeedback, RefCheckpoint, RefShard, ShardServerCore};
+use ea_runtime::{ErrorFeedback, FtConfig, ParkedPull, RefCheckpoint, RefShard, ServerCore};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -38,6 +45,23 @@ fn synthetic_delta(cfg: &SimConfig, pipe: usize, round: u64, shard: usize) -> Ve
         .collect()
 }
 
+/// How long a simulated server keeps a pull parked: the production
+/// fault-tolerant default.
+fn pull_wait() -> Duration {
+    FtConfig::default().pull_wait
+}
+
+/// The simulated reactor's poll cadence in virtual nanoseconds: the
+/// production default.
+fn poll_ns() -> u64 {
+    ReactorConfig::default().handler_poll.as_nanos() as u64
+}
+
+/// The simulated connection id of `worker`'s generation-`gen` socket.
+fn conn_id(worker: usize, gen: u64) -> ConnId {
+    ConnId::from_raw(((worker as u64) << 40) | gen)
+}
+
 // ---------------------------------------------------------------------
 // Server actor
 // ---------------------------------------------------------------------
@@ -48,9 +72,9 @@ pub struct ServerActor {
     /// chains from a previous life never fire into the new one.
     inc: u64,
     /// `None` while crashed.
-    core: Option<ShardServerCore>,
-    /// Per-connection protocol state, keyed by (worker, generation).
-    conns: BTreeMap<(usize, u64), ConnState>,
+    core: Option<ServerCore>,
+    /// Open connections: core-facing id → (worker, generation).
+    conns: BTreeMap<ConnId, (usize, u64)>,
     /// Highest generation seen per worker; lower generations are closed
     /// sockets and their traffic is dropped.
     latest_gen: BTreeMap<usize, u64>,
@@ -71,7 +95,7 @@ impl ServerActor {
         }
     }
 
-    pub fn core(&self) -> Option<&ShardServerCore> {
+    pub fn core(&self) -> Option<&ServerCore> {
         self.core.as_ref()
     }
 
@@ -79,17 +103,17 @@ impl ServerActor {
         self.inc
     }
 
-    fn fresh_core(&self, cfg: &SimConfig) -> ShardServerCore {
+    fn fresh_core(&self, cfg: &SimConfig) -> ServerCore {
         let base = self.id * cfg.shards_per_server;
         let shards = (0..cfg.shards_per_server)
             .map(|j| Arc::new(RefShard::new(initial_weights(cfg, base + j), cfg.n_workers)))
             .collect();
-        ShardServerCore::new(
+        ServerCore::new(
             shards,
             cfg.n_workers,
             (base, cfg.n_shards()),
             Duration::from_nanos(cfg.lease_ns),
-            Duration::ZERO,
+            Some(pull_wait()),
         )
     }
 
@@ -106,6 +130,7 @@ impl ServerActor {
     fn schedule_timers(&self, ctx: &mut SimCtx) {
         let (id, inc) = (self.id, self.inc);
         ctx.at(ctx.cfg.reap_ns, Event::ServerTimer { server: id, inc, kind: STimer::Reap });
+        ctx.at(poll_ns(), Event::ServerTimer { server: id, inc, kind: STimer::Poll });
         ctx.at(
             ctx.cfg.checkpoint_ns,
             Event::ServerTimer { server: id, inc, kind: STimer::Checkpoint },
@@ -118,7 +143,7 @@ impl ServerActor {
         }
         self.core = None;
         self.inc += 1; // kill timer chains
-        let conns: Vec<(usize, u64)> = self.conns.keys().copied().collect();
+        let conns: Vec<(usize, u64)> = self.conns.values().copied().collect();
         self.conns.clear();
         for (w, gen) in conns {
             ctx.conn_closed(Addr::Worker(w), Addr::Server(self.id), gen);
@@ -133,11 +158,11 @@ impl ServerActor {
         self.inc += 1;
         let core = match (mode, &self.disk) {
             (RestartMode::FromCheckpoint, Some((from_inc, ck))) => {
-                let core = ShardServerCore::from_checkpoint(
+                let core = ServerCore::from_checkpoint(
                     ck,
                     ctx.cfg.n_workers,
                     Duration::from_nanos(ctx.cfg.lease_ns),
-                    Duration::ZERO,
+                    Some(pull_wait()),
                 );
                 ctx.oracle.check_restore(ctx.now, self.id, *from_inc, ck);
                 ctx.logf(format!(
@@ -160,17 +185,27 @@ impl ServerActor {
         if inc != self.inc {
             return;
         }
-        let Some(core) = self.core.as_mut() else { return };
+        let Some(core) = self.core.as_ref() else { return };
+        let mut out = Outbox::default();
         match kind {
             STimer::Reap => {
-                let evicted = core.reap_tick();
+                // The reaper thread's pass, then the reactor poll that
+                // answers pulls the degraded rounds satisfied.
+                let before = core.parked_pulls();
+                let evicted = core.reap();
                 if !evicted.is_empty() {
                     ctx.oracle.note_evictions(self.id, self.inc, &evicted);
                     ctx.logf(format!("server {} evicted pipes {evicted:?}", self.id));
                 }
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
+                core.poll(&mut out);
+                self.flush(ctx, &before, out.drain());
                 ctx.at(ctx.cfg.reap_ns, Event::ServerTimer { server: self.id, inc, kind });
+            }
+            STimer::Poll => {
+                let before = core.parked_pulls();
+                core.poll(&mut out);
+                self.flush(ctx, &before, out.drain());
+                ctx.at(poll_ns(), Event::ServerTimer { server: self.id, inc, kind });
             }
             STimer::Checkpoint => {
                 if let Some(ck) = core.capture_checkpoint() {
@@ -183,28 +218,47 @@ impl ServerActor {
         }
     }
 
+    /// The socket to `worker` (generation `gen`) is gone: the core forgets
+    /// the connection and its parked pulls, as on a reactor disconnect.
+    fn disconnect(&mut self, worker: usize, gen: u64) -> bool {
+        let conn = conn_id(worker, gen);
+        if self.conns.remove(&conn).is_none() {
+            return false;
+        }
+        if let Some(core) = self.core.as_ref() {
+            core.on_disconnect(conn, &DisconnectReason::PeerClosed);
+        }
+        true
+    }
+
     pub fn on_conn_closed(&mut self, ctx: &mut SimCtx, worker: usize, gen: u64) {
-        if self.conns.remove(&(worker, gen)).is_some() {
+        if self.disconnect(worker, gen) {
             ctx.logf(format!("server {} closed conn to worker {worker} (gen {gen})", self.id));
         }
     }
 
     pub fn on_deliver(&mut self, ctx: &mut SimCtx, worker: usize, gen: u64, msg: Message) {
-        let Some(core) = self.core.as_ref() else {
+        if self.core.is_none() {
             // Connection refused: the host is down, the OS answers with a
             // reset.
             ctx.conn_closed(Addr::Worker(worker), Addr::Server(self.id), gen);
             return;
-        };
+        }
         let newest = self.latest_gen.get(&worker).copied().unwrap_or(0);
         if gen < newest {
             return; // closed socket, silently gone
         }
         if gen > newest {
+            // The worker reconnected: its older sockets are gone.
             self.latest_gen.insert(worker, gen);
-            self.conns.retain(|&(w, g), _| w != worker || g >= gen);
+            let stale: Vec<(usize, u64)> =
+                self.conns.values().copied().filter(|&(w, g)| w == worker && g < gen).collect();
+            for (w, g) in stale {
+                self.disconnect(w, g);
+            }
         }
-        let st = self.conns.entry((worker, gen)).or_default();
+        let conn = conn_id(worker, gen);
+        self.conns.insert(conn, (worker, gen));
 
         // Decode a submission's payload the same way the server will, so
         // the oracle knows bitwise what the shard is being fed.
@@ -218,54 +272,64 @@ impl ServerActor {
             _ => None,
         };
 
-        let base = self.id * ctx.cfg.shards_per_server;
-        match core.serve_message(st, msg) {
-            Ok(reply) => {
-                if let Some(Message::Ack { shard, round, pipe, duplicate: false }) = &reply {
-                    if let Some((s, r, p, delta)) = submitted {
-                        debug_assert_eq!((s, r, p), (*shard, *round, *pipe));
-                        ctx.oracle.note_accepted_delta(
-                            ctx.now,
-                            self.id,
-                            self.inc,
-                            s as usize - base,
-                            r,
-                            p as usize,
-                            delta,
-                        );
-                    }
-                }
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
-                match &reply {
-                    Some(Message::PullReply { shard, version, weights })
-                    | Some(Message::WeightsUpdate { shard, version, weights }) => {
-                        ctx.oracle.check_weights_reply(
-                            ctx.now,
-                            self.id,
-                            self.inc,
-                            *shard as usize - base,
-                            *version,
-                            weights,
-                        );
-                    }
-                    _ => {}
-                }
-                if let Some(reply) = reply {
-                    ctx.send(Addr::Server(self.id), Addr::Worker(worker), gen, reply);
-                }
+        let core = self.core.as_ref().expect("checked above");
+        let before = core.parked_pulls();
+        let mut out = Outbox::default();
+        core.on_message(conn, msg, &mut out);
+        let staged = out.drain();
+        let accepted = staged
+            .0
+            .iter()
+            .any(|(to, m)| *to == conn && matches!(m, Message::Ack { duplicate: false, .. }));
+        if let (true, Some((s, r, p, delta))) = (accepted, submitted) {
+            let base = self.id * ctx.cfg.shards_per_server;
+            ctx.oracle.note_accepted_delta(
+                ctx.now,
+                self.id,
+                self.inc,
+                s as usize - base,
+                r,
+                p as usize,
+                delta,
+            );
+        }
+        self.flush(ctx, &before, staged);
+    }
+
+    /// Audits the core after a callback and delivers what it staged:
+    /// replies go out on their connections; a close drops the connection
+    /// (a protocol violation — the shard state is untouched) and tells
+    /// the worker, as the reactor's socket teardown would.
+    fn flush(&mut self, ctx: &mut SimCtx, before: &[ParkedPull], (sends, closes): Drained) {
+        let (id, inc) = (self.id, self.inc);
+        let core = self.core.as_ref().expect("flush on a live server");
+        let base = id * ctx.cfg.shards_per_server;
+        ctx.oracle.check_server(ctx.now, id, inc, core, ctx.cfg.n_workers);
+        for (_, m) in &sends {
+            if let Message::PullReply { shard, version, weights }
+            | Message::WeightsUpdate { shard, version, weights } = m
+            {
+                ctx.oracle.check_weights_reply(
+                    ctx.now,
+                    id,
+                    inc,
+                    *shard as usize - base,
+                    *version,
+                    weights,
+                );
             }
-            Err(e) => {
-                // Protocol violation: the real server drops the
-                // connection and leaves shard state untouched.
-                self.conns.remove(&(worker, gen));
-                let core = self.core.as_ref().expect("still up");
-                ctx.oracle.check_server(ctx.now, self.id, self.inc, core, ctx.cfg.n_workers);
-                ctx.logf(format!(
-                    "server {} dropped conn to worker {worker} (gen {gen}): {e}",
-                    self.id
-                ));
-                ctx.conn_closed(Addr::Worker(worker), Addr::Server(self.id), gen);
+        }
+        ctx.oracle.check_parked(ctx.now, id, base, core, before, &sends, poll_ns());
+        for (to, m) in sends {
+            if let Some(&(w, g)) = self.conns.get(&to) {
+                ctx.send(Addr::Server(id), Addr::Worker(w), g, m);
+            }
+        }
+        for (to, why) in closes {
+            if let Some((w, g)) = self.conns.remove(&to) {
+                core.on_disconnect(to, &DisconnectReason::HandlerClosed(why.clone()));
+                ctx.logf(format!("server {id} dropped conn to worker {w} (gen {g}): {why}"));
+                ctx.conn_closed(Addr::Worker(w), Addr::Server(id), g);
             }
         }
     }

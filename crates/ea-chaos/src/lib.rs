@@ -1,13 +1,15 @@
 //! # ea-chaos — deterministic simulation testing for the elastic protocol
 //!
-//! Runs the full sharded elastic-averaging topology — K [`ea_runtime::ShardServerCore`]s
-//! times N worker state machines with mixed codecs — as actors on a
-//! single-threaded discrete-event scheduler with virtual time. The
-//! production protocol code is exercised unmodified: servers run the real
-//! `serve_message` dispatch, workers drive real [`ea_runtime::ErrorFeedback`]
-//! and the real wire codecs, and every wall-clock read inside the stack
-//! goes through [`ea_comms::clock`], which the harness overrides with a
-//! simulated clock.
+//! Runs the full sharded elastic-averaging topology — K
+//! [`ea_runtime::ServerCore`]s times N worker state machines with mixed
+//! codecs — as actors on a single-threaded discrete-event scheduler with
+//! virtual time. The production protocol code is exercised unmodified:
+//! each server actor drives the very handler the epoll reactor runs in
+//! production (`on_message`, `poll`, `on_disconnect`), parked pulls and
+//! their `pull_wait` deadlines included; workers drive the real
+//! [`ea_runtime::ErrorFeedback`] and the real wire codecs; and every
+//! wall-clock read inside the stack goes through [`ea_comms::clock`],
+//! which the harness overrides with a simulated clock.
 //!
 //! One `u64` seed determines everything: the fault plan (crashes,
 //! restarts, partitions), every per-link drop/delay/duplicate/corrupt
@@ -18,8 +20,9 @@
 //! Invariant oracles run on every simulated event (see [`oracle`]):
 //! per-shard version monotonicity, bitwise quorum-renormalization
 //! arithmetic, no mixed-version weight reads, idempotent delta submission,
-//! error-feedback conservation, and post-quiesce liveness. A failing run
-//! dumps the seed, the shrunk fault plan, and the event log; [`shrink`]
+//! error-feedback conservation, parked pulls answered or expired on time,
+//! and post-quiesce liveness. A failing run dumps the seed, the shrunk
+//! fault plan, and the event log; [`shrink`]
 //! minimizes the plan first so the repro is as small as the bug allows.
 //!
 //! ```no_run
@@ -79,6 +82,9 @@ pub enum WTimer {
 pub enum STimer {
     /// Run the lease reaper (the simulated analogue of the reaper thread).
     Reap,
+    /// Run the server core's reactor poll (parked-pull completion and
+    /// expiry, subscriber pushes).
+    Poll,
     /// Capture a checkpoint to the simulated disk.
     Checkpoint,
 }

@@ -25,13 +25,20 @@
 //! * **Error-feedback conservation** — a lossy worker's rounded deltas
 //!   must be codec-idempotent (the server decodes exactly what the
 //!   worker accounted for) with finite bounded residuals.
+//! * **Parked pulls** — a pull parked for an incomplete round is either
+//!   answered, with a version at least the one requested, on the event
+//!   that completes its round, or dropped unanswered no earlier than its
+//!   deadline and no later than one poll tick after it.
 //!
 //! A violation records a message; the run stops and reports it together
 //! with the seed and event log.
 
 use crate::sched::SimTime;
-use ea_runtime::ShardServerCore;
+use ea_comms::reactor::ConnId;
+use ea_comms::Message;
+use ea_runtime::{ParkedPull, ServerCore};
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 /// FNV-1a over the f32 bit patterns: bitwise weight fingerprints.
 pub fn weights_hash(w: &[f32]) -> u64 {
@@ -90,13 +97,7 @@ impl Oracle {
 
     /// Registers a (re)started server: seeds the weights history at its
     /// starting state and rebases the audit view.
-    pub fn server_started(
-        &mut self,
-        now: SimTime,
-        server: usize,
-        inc: u64,
-        core: &ShardServerCore,
-    ) {
+    pub fn server_started(&mut self, now: SimTime, server: usize, inc: u64, core: &ServerCore) {
         for (i, sh) in core.shards().iter().enumerate() {
             let (version, weights) = sh.versioned_snapshot();
             self.history.insert((server, inc, i, version), weights_hash(&weights));
@@ -207,7 +208,7 @@ impl Oracle {
         now: SimTime,
         server: usize,
         inc: u64,
-        core: &ShardServerCore,
+        core: &ServerCore,
         n_pipelines: usize,
     ) {
         for (i, sh) in core.shards().iter().enumerate() {
@@ -346,6 +347,88 @@ impl Oracle {
         }
     }
 
+    /// Audits a server's parked pulls after a callback. `before` is the
+    /// parked list going in, `sends` what the callback staged, and
+    /// `tick_ns` the poll cadence: every pull still parked must be waiting
+    /// for an incomplete round and be at most one tick past its deadline;
+    /// every pull that left the list must have been answered with a
+    /// version at least the one requested, or have expired.
+    #[allow(clippy::too_many_arguments)]
+    pub fn check_parked(
+        &mut self,
+        now: SimTime,
+        server: usize,
+        shard_base: usize,
+        core: &ServerCore,
+        before: &[ParkedPull],
+        sends: &[(ConnId, Message)],
+        tick_ns: u64,
+    ) {
+        let clock_now = Duration::from_nanos(now);
+        let tick = Duration::from_nanos(tick_ns);
+        let after = core.parked_pulls();
+        let version_of = |shard: u32| core.shards()[shard as usize - shard_base].version();
+        for p in &after {
+            let v = version_of(p.shard);
+            if v >= p.version {
+                self.fail(
+                    now,
+                    format!(
+                        "parked pull not answered: server {server} shard {} has version {v} \
+                         but a pull for version {} is still parked",
+                        p.shard, p.version
+                    ),
+                );
+            }
+            if p.deadline.is_some_and(|d| clock_now > d + tick) {
+                self.fail(
+                    now,
+                    format!(
+                        "parked pull held past its deadline: server {server} shard {} version \
+                         {} (deadline {:?}, now {clock_now:?}, tick {tick:?})",
+                        p.shard, p.version, p.deadline
+                    ),
+                );
+            }
+        }
+        let mut remaining = after;
+        for p in before {
+            if let Some(i) = remaining.iter().position(|q| q == p) {
+                remaining.swap_remove(i);
+                continue;
+            }
+            let answer = sends.iter().find_map(|(to, m)| match m {
+                Message::PullReply { shard, version, .. }
+                | Message::PullReplyC { shard, version, .. }
+                    if *to == p.conn && *shard == p.shard =>
+                {
+                    Some(*version)
+                }
+                _ => None,
+            });
+            match answer {
+                Some(v) if v >= p.version => {}
+                Some(v) => self.fail(
+                    now,
+                    format!(
+                        "parked pull answered stale: server {server} shard {} requested version \
+                         {} got {v}",
+                        p.shard, p.version
+                    ),
+                ),
+                None if p.deadline.is_some_and(|d| clock_now >= d) => {}
+                None => self.fail(
+                    now,
+                    format!(
+                        "parked pull dropped early: server {server} shard {} version {} left \
+                         the parked list unanswered before its deadline {:?}",
+                        p.shard, p.version, p.deadline
+                    ),
+                ),
+            }
+        }
+    }
+
     /// Worker-side error-feedback checks on a rounded delta about to be
     /// shipped under a lossy codec.
     pub fn check_feedback(
@@ -434,5 +517,39 @@ mod tests {
             o.check_feedback(0, 0, codec, &rounded, 0.0);
         }
         assert!(o.ok(), "{:?}", o.violations());
+    }
+
+    #[test]
+    fn parked_pull_held_past_its_deadline_is_flagged() {
+        use crate::sched::SimClock;
+        use ea_comms::reactor::{Outbox, ReactorHandler};
+        use ea_runtime::RefShard;
+        use std::cell::Cell;
+        use std::rc::Rc;
+        use std::sync::Arc;
+
+        let now = Rc::new(Cell::new(0u64));
+        let _clock = ea_comms::clock::install(Rc::new(SimClock::new(Rc::clone(&now))));
+        let pull_wait = Duration::from_millis(100);
+        let tick_ns = 5_000_000;
+        let shards = vec![Arc::new(RefShard::new(vec![0.0], 2))];
+        let core = ServerCore::new(shards, 2, (0, 1), Duration::from_secs(60), Some(pull_wait));
+        let mut out = Outbox::default();
+        core.on_message(
+            ConnId::from_raw(1),
+            Message::PullRequest { shard: 0, version: 1 },
+            &mut out,
+        );
+        assert_eq!(core.parked_pulls().len(), 1);
+        let mut o = Oracle::new();
+        // Within the deadline plus one tick, a parked pull is fine.
+        now.set(100_000_000 + tick_ns);
+        o.check_parked(now.get(), 0, 0, &core, &[], &[], tick_ns);
+        assert!(o.ok(), "{:?}", o.violations());
+        // One nanosecond later, no poll has dropped it: a violation.
+        now.set(now.get() + 1);
+        o.check_parked(now.get(), 0, 0, &core, &[], &[], tick_ns);
+        assert!(!o.ok());
+        assert!(o.violations()[0].contains("held past its deadline"), "{:?}", o.violations());
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! The override is thread-local on purpose: the single-threaded discrete
 //! event scheduler owns all simulated actors, while threads spawned by real
-//! deployments (reaper threads, connection threads) keep seeing real time.
+//! deployments (reaper threads, reactor threads) keep seeing real time.
 //!
 //! Timestamps are `Duration`s since an arbitrary process-wide epoch, not
 //! `Instant`s, so simulated and real time share one representation.

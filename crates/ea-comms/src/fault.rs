@@ -1,36 +1,35 @@
 //! Fault injection: a [`Transport`] wrapper that drops, delays, or
-//! duplicates outgoing messages with configurable probabilities.
+//! duplicates messages in both directions with configurable
+//! probabilities.
 //!
 //! The RNG is seeded, so a failing fault-injection test replays exactly.
-//! Faults are applied on the send side — a dropped send models a lost
-//! datagram/connection blip in either direction, because the effect the
-//! protocol must survive is identical: a request or its reply never
-//! arrives, a retry fires, and idempotent handling must keep training
-//! byte-identical.
+//! One [`FaultConfig`] applies to every send *and* every receive, drawn
+//! from the same RNG: wrapping the client side of a connection therefore
+//! loses, delays and repeats requests and replies alike. The effect the
+//! protocol must survive is the same either way — a request or its reply
+//! never arrives (a retry fires) or arrives twice (idempotent handling
+//! discards it) — and training must stay byte-identical.
 //!
-//! On top of the probabilistic faults, [`ChaosConfig`] adds *scheduled*
-//! failures keyed to the elastic round the wrapped connection is working
-//! on (tracked from outgoing [`Message::SubmitDelta`] frames): crash the
-//! connection permanently at round K, stall it for a fixed duration, or
-//! partition it (drop everything, both directions) for a round interval.
-//! These model whole-worker death, GC/OS pauses, and network partitions
-//! for the fault-tolerance end-to-end tests and the `chaos_demo` example.
+//! Scheduled crashes and partitions are the deterministic simulator's job
+//! (`ea-chaos` fault plans), not this wrapper's.
 
+use crate::clock;
 use crate::transport::{CommsError, Transport, TransportStats};
 use crate::wire::Message;
 use ea_tensor::TensorRng;
 use std::time::Duration;
 
-/// Probabilities and magnitudes of injected faults.
+/// Probabilities and magnitudes of injected faults, per message in
+/// either direction.
 #[derive(Clone, Copy, Debug)]
 pub struct FaultConfig {
-    /// Probability an outgoing message is silently discarded.
+    /// Probability a message is silently discarded.
     pub drop_prob: f64,
-    /// Probability an outgoing message is delayed by up to `max_delay`.
+    /// Probability a message is delayed by up to `max_delay`.
     pub delay_prob: f64,
     /// Upper bound of an injected delay.
     pub max_delay: Duration,
-    /// Probability an outgoing message is sent twice.
+    /// Probability a message is delivered twice.
     pub duplicate_prob: f64,
 }
 
@@ -46,69 +45,33 @@ impl FaultConfig {
     }
 }
 
-/// Counters of injected faults.
+/// Counters of injected faults, both directions together.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages discarded.
     pub dropped: u64,
     /// Messages delayed.
     pub delayed: u64,
-    /// Messages sent twice.
+    /// Messages delivered twice.
     pub duplicated: u64,
-    /// Messages dropped by a scheduled partition (either direction).
-    pub partitioned: u64,
-    /// Scheduled stalls served.
-    pub stalled: u64,
 }
 
-/// Scheduled, round-keyed failures layered on top of [`FaultConfig`].
-///
-/// The round is observed from outgoing [`Message::SubmitDelta`] frames,
-/// so schedules fire deterministically at round boundaries regardless of
-/// wall-clock timing.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ChaosConfig {
-    /// Once a `SubmitDelta` for this round is attempted, the transport
-    /// dies permanently: every later send/recv returns
-    /// [`CommsError::Closed`]. Models a worker crash.
-    pub crash_at_round: Option<u64>,
-    /// The first send at this round sleeps for the given duration before
-    /// proceeding. Models a GC/OS pause long enough to expire a lease.
-    pub stall_at_round: Option<(u64, Duration)>,
-    /// While the current round is in `[start, end)`, every message in
-    /// either direction is silently dropped. Models a network partition
-    /// that heals at `end`.
-    pub partition_rounds: Option<(u64, u64)>,
+/// What the fault profile decided for one message.
+enum Fate {
+    Drop,
+    Deliver,
+    Duplicate,
 }
 
-impl ChaosConfig {
-    /// Crash the connection permanently at `round`.
-    pub fn crash_at(round: u64) -> Self {
-        ChaosConfig { crash_at_round: Some(round), ..ChaosConfig::default() }
-    }
-
-    /// Stall the connection for `pause` at `round`.
-    pub fn stall_at(round: u64, pause: Duration) -> Self {
-        ChaosConfig { stall_at_round: Some((round, pause)), ..ChaosConfig::default() }
-    }
-
-    /// Partition the connection for rounds `[start, end)`.
-    pub fn partition(start: u64, end: u64) -> Self {
-        ChaosConfig { partition_rounds: Some((start, end)), ..ChaosConfig::default() }
-    }
-}
-
-/// A transport with seeded random faults on its send path and optional
-/// round-scheduled chaos (crash / stall / partition).
+/// A transport with seeded random faults on its send and receive paths.
 pub struct FaultyTransport<T: Transport> {
     inner: T,
     cfg: FaultConfig,
-    chaos: ChaosConfig,
     rng: TensorRng,
     faults: FaultStats,
-    round: u64,
-    crashed: bool,
-    stall_done: bool,
+    /// A received message the profile duplicated: the next receive
+    /// returns it again.
+    replay: Option<Message>,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -117,18 +80,10 @@ impl<T: Transport> FaultyTransport<T> {
         FaultyTransport {
             inner,
             cfg,
-            chaos: ChaosConfig::default(),
             rng: TensorRng::seed_from_u64(seed),
             faults: FaultStats::default(),
-            round: 0,
-            crashed: false,
-            stall_done: false,
+            replay: None,
         }
-    }
-
-    /// Wraps `inner` with probabilistic faults *and* a chaos schedule.
-    pub fn with_chaos(inner: T, cfg: FaultConfig, chaos: ChaosConfig, seed: u64) -> Self {
-        FaultyTransport { chaos, ..FaultyTransport::new(inner, cfg, seed) }
     }
 
     /// Injected-fault counters.
@@ -136,100 +91,83 @@ impl<T: Transport> FaultyTransport<T> {
         self.faults
     }
 
-    /// The round most recently observed in an outgoing `SubmitDelta`.
-    pub fn observed_round(&self) -> u64 {
-        self.round
-    }
-
-    /// True once a scheduled crash has fired.
-    pub fn crashed(&self) -> bool {
-        self.crashed
-    }
-
     /// The wrapped transport.
     pub fn into_inner(self) -> T {
         self.inner
     }
 
-    fn partitioned(&self) -> bool {
-        matches!(self.chaos.partition_rounds, Some((s, e)) if (s..e).contains(&self.round))
+    /// Draws one message's fate: drop, or deliver (after an optional
+    /// delay) once or twice.
+    fn fate(&mut self) -> Fate {
+        if self.rng.coin(self.cfg.drop_prob) {
+            self.faults.dropped += 1;
+            return Fate::Drop;
+        }
+        if self.rng.coin(self.cfg.delay_prob) {
+            self.faults.delayed += 1;
+            let nanos = self.rng.up_to(self.cfg.max_delay.as_nanos() as u64);
+            clock::sleep(Duration::from_nanos(nanos));
+        }
+        if self.rng.coin(self.cfg.duplicate_prob) {
+            self.faults.duplicated += 1;
+            return Fate::Duplicate;
+        }
+        Fate::Deliver
     }
 
-    /// Applies the chaos schedule for an outgoing message. Returns
-    /// `Some(result)` when the schedule consumed the message.
-    fn chaos_send(&mut self, msg: &Message) -> Option<Result<(), CommsError>> {
-        if self.crashed {
-            return Some(Err(CommsError::Closed));
-        }
-        if let Message::SubmitDelta { round, .. } = msg {
-            self.round = self.round.max(*round);
-        }
-        if let Some(at) = self.chaos.crash_at_round {
-            if self.round >= at {
-                self.crashed = true;
-                return Some(Err(CommsError::Closed));
+    /// Applies the profile to a received message: `None` if it was
+    /// dropped; a duplicate is held back for the next receive.
+    fn received(&mut self, msg: Message) -> Option<Message> {
+        match self.fate() {
+            Fate::Drop => None,
+            Fate::Deliver => Some(msg),
+            Fate::Duplicate => {
+                self.replay = Some(msg.clone());
+                Some(msg)
             }
         }
-        if let Some((at, pause)) = self.chaos.stall_at_round {
-            if self.round >= at && !self.stall_done {
-                self.stall_done = true;
-                self.faults.stalled += 1;
-                crate::clock::sleep(pause);
-            }
-        }
-        if self.partitioned() {
-            self.faults.partitioned += 1;
-            return Some(Ok(())); // swallowed: the peer never sees it
-        }
-        None
     }
 }
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, msg: Message) -> Result<(), CommsError> {
-        if let Some(done) = self.chaos_send(&msg) {
-            return done;
+        match self.fate() {
+            Fate::Drop => Ok(()), // swallowed: the peer never sees it
+            Fate::Deliver => self.inner.send(msg),
+            Fate::Duplicate => {
+                self.inner.send(msg.clone())?;
+                self.inner.send(msg)
+            }
         }
-        if self.rng.coin(self.cfg.drop_prob) {
-            self.faults.dropped += 1;
-            return Ok(()); // swallowed: the peer never sees it
-        }
-        if self.rng.coin(self.cfg.delay_prob) {
-            self.faults.delayed += 1;
-            let nanos = self.rng.up_to(self.cfg.max_delay.as_nanos() as u64);
-            crate::clock::sleep(Duration::from_nanos(nanos));
-        }
-        if self.rng.coin(self.cfg.duplicate_prob) {
-            self.faults.duplicated += 1;
-            self.inner.send(msg.clone())?;
-        }
-        self.inner.send(msg)
     }
 
     fn recv(&mut self) -> Result<Message, CommsError> {
-        loop {
-            if self.crashed {
-                return Err(CommsError::Closed);
-            }
-            let msg = self.inner.recv()?;
-            if self.partitioned() {
-                self.faults.partitioned += 1;
-                continue; // swallowed: we never see it
-            }
+        if let Some(msg) = self.replay.take() {
             return Ok(msg);
+        }
+        loop {
+            let msg = self.inner.recv()?;
+            if let Some(msg) = self.received(msg) {
+                return Ok(msg);
+            }
         }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Message, CommsError> {
-        if self.crashed {
-            return Err(CommsError::Closed);
+        if let Some(msg) = self.replay.take() {
+            return Ok(msg);
         }
-        let msg = self.inner.recv_timeout(timeout)?;
-        if self.partitioned() {
-            self.faults.partitioned += 1;
-            return Err(CommsError::Timeout); // swallowed: we never see it
+        let deadline = clock::now() + timeout;
+        loop {
+            let remaining = deadline.saturating_sub(clock::now());
+            if remaining.is_zero() {
+                return Err(CommsError::Timeout);
+            }
+            let msg = self.inner.recv_timeout(remaining)?;
+            if let Some(msg) = self.received(msg) {
+                return Ok(msg);
+            }
         }
-        Ok(msg)
     }
 
     fn stats(&self) -> TransportStats {
@@ -311,64 +249,37 @@ mod tests {
         assert!((50..200).contains(&dropped), "10% of 1000 sends, got {dropped}");
     }
 
-    fn clean() -> FaultConfig {
-        always(0.0)
-    }
-
-    fn submit(round: u64) -> Message {
-        Message::SubmitDelta { shard: 0, round, pipe: 0, delta: vec![] }
-    }
-
     #[test]
-    fn crash_at_round_kills_the_transport_permanently() {
+    fn receive_drop_probability_one_swallows_everything() {
         let (a, mut b) = loopback_pair();
-        let mut faulty = FaultyTransport::with_chaos(a, clean(), ChaosConfig::crash_at(3), 7);
-        for r in 0..3 {
-            faulty.send(submit(r)).unwrap();
-            assert!(b.recv().is_ok());
+        let mut faulty = FaultyTransport::new(a, always(1.0), 7);
+        for i in 0..5 {
+            b.send(Message::PullRequest { shard: 0, version: i }).unwrap();
         }
-        assert!(!faulty.crashed());
-        assert!(matches!(faulty.send(submit(3)), Err(CommsError::Closed)));
-        assert!(faulty.crashed());
-        // Dead for good: later sends and recvs fail even for other rounds.
-        assert!(matches!(faulty.send(submit(0)), Err(CommsError::Closed)));
-        assert!(matches!(faulty.recv_timeout(Duration::from_millis(5)), Err(CommsError::Closed)));
+        assert!(matches!(faulty.recv_timeout(Duration::from_millis(20)), Err(CommsError::Timeout)));
+        assert_eq!(faulty.fault_stats().dropped, 5);
     }
 
     #[test]
-    fn partition_drops_both_directions_then_heals() {
+    fn receive_duplicate_probability_one_delivers_each_message_twice() {
         let (a, mut b) = loopback_pair();
-        let mut faulty = FaultyTransport::with_chaos(a, clean(), ChaosConfig::partition(1, 2), 7);
-        faulty.send(submit(0)).unwrap();
-        assert!(b.recv().is_ok());
-        // Round 1 is inside the partition: outgoing vanishes...
-        faulty.send(submit(1)).unwrap();
-        assert!(matches!(b.recv_timeout(Duration::from_millis(10)), Err(CommsError::Timeout)));
-        // ...and incoming is swallowed too.
-        b.send(Message::Ack { shard: 0, round: 1, pipe: 0, duplicate: false }).unwrap();
+        let cfg = FaultConfig {
+            drop_prob: 0.0,
+            delay_prob: 0.0,
+            max_delay: Duration::ZERO,
+            duplicate_prob: 1.0,
+        };
+        let mut faulty = FaultyTransport::new(a, cfg, 7);
+        b.send(Message::PullRequest { shard: 0, version: 1 }).unwrap();
+        b.send(Message::PullRequest { shard: 0, version: 2 }).unwrap();
+        let versions: Vec<u64> = (0..4)
+            .map(|_| match faulty.recv_timeout(Duration::from_millis(100)).unwrap() {
+                Message::PullRequest { version, .. } => version,
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(versions, [1, 1, 2, 2]);
         assert!(matches!(faulty.recv_timeout(Duration::from_millis(10)), Err(CommsError::Timeout)));
-        assert_eq!(faulty.fault_stats().partitioned, 2);
-        // Round 2 heals the partition.
-        faulty.send(submit(2)).unwrap();
-        assert!(b.recv().is_ok());
-    }
-
-    #[test]
-    fn stall_fires_once_at_its_round() {
-        let (a, mut b) = loopback_pair();
-        let pause = Duration::from_millis(30);
-        let mut faulty =
-            FaultyTransport::with_chaos(a, clean(), ChaosConfig::stall_at(1, pause), 7);
-        faulty.send(submit(0)).unwrap();
-        let t0 = std::time::Instant::now();
-        faulty.send(submit(1)).unwrap();
-        assert!(t0.elapsed() >= pause, "first round-1 send should stall");
-        let t1 = std::time::Instant::now();
-        faulty.send(submit(1)).unwrap();
-        assert!(t1.elapsed() < pause, "stall must fire only once");
-        assert_eq!(faulty.fault_stats().stalled, 1);
-        for _ in 0..3 {
-            assert!(b.recv().is_ok());
-        }
+        assert_eq!(faulty.fault_stats().duplicated, 2);
     }
 }

@@ -5,8 +5,8 @@
 //! model in *separate processes*, shipping local updates asynchronously.
 //! This crate supplies the missing communication substrate:
 //!
-//! * [`Transport`] / [`Listener`] — one ordered, message-framed,
-//!   bidirectional connection per pipeline, behind a trait so backends are
+//! * [`Transport`] — one ordered, message-framed, bidirectional
+//!   connection per pipeline, behind a trait so backends are
 //!   configuration, not architecture.
 //! * [`loopback`] — in-process channels, zero serialization: messages move
 //!   buffers by ownership, preserving the `ea_tensor::pool` zero-copy
@@ -19,11 +19,10 @@
 //!   version handshake, `PullRequest`/`PullReply` (Step ❷),
 //!   `SubmitDelta`/`Ack` (Steps ❸–❹) with `(shard, round, pipe)`
 //!   idempotency keys.
-//! * [`fault`] — a seeded drop/delay/duplicate wrapper proving the
-//!   retry + idempotency design keeps training byte-identical under loss,
-//!   plus a round-scheduled chaos harness ([`ChaosConfig`]: crash, stall,
-//!   partition) for the fault-tolerance tests.
-//! * [`reactor`] — the nonblocking server core: an epoll event loop
+//! * [`fault`] — a seeded drop/delay/duplicate wrapper, applied to both
+//!   directions of a client connection, proving the retry + idempotency
+//!   design keeps training byte-identical under loss.
+//! * [`reactor`] — the nonblocking server loop: an epoll event loop
 //!   multiplexing every accepted connection across a small set of
 //!   threads, with incremental zero-copy frame assembly into pooled
 //!   buffers, write-side backpressure with slow-consumer eviction, and
@@ -56,16 +55,14 @@ pub use client::{
 };
 pub use clock::{Clock, ClockGuard, OffsetEstimator, Waiter};
 pub use ea_optim::Codec;
-pub use fault::{ChaosConfig, FaultConfig, FaultStats, FaultyTransport};
+pub use fault::{FaultConfig, FaultStats, FaultyTransport};
 pub use frame::{crc32, FrameError, PROTO_VERSION};
-pub use loopback::{
-    loopback_endpoint, loopback_pair, LoopbackHub, LoopbackListener, LoopbackTransport,
-};
+pub use loopback::{loopback_pair, LoopbackTransport};
 pub use reactor::{
     ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler, ReactorWaker,
 };
-pub use tcp::{TcpConfig, TcpServer, TcpTransport};
-pub use transport::{CommsError, Listener, Transport, TransportStats};
+pub use tcp::{TcpConfig, TcpTransport};
+pub use transport::{CommsError, Transport, TransportStats};
 pub use wire::Message;
 
 /// Takes an empty pooled byte buffer with capacity ≥ `cap` for building a

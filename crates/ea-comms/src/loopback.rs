@@ -12,10 +12,9 @@
 //! for single-process runs and the reference behaviour the framed backends
 //! are tested against.
 
-use crate::transport::{CommsError, Listener, Transport, TransportStats};
+use crate::transport::{CommsError, Transport, TransportStats};
 use crate::wire::Message;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// One end of an in-process connection.
@@ -67,43 +66,6 @@ impl Transport for LoopbackTransport {
     }
 }
 
-/// The dial-in point for loopback connections: hand the [`LoopbackHub`] to
-/// clients and the [`LoopbackListener`] to the server.
-pub struct LoopbackHub {
-    // Mutex so the hub can be shared across connecting threads (mpsc
-    // senders are not Sync on older toolchains).
-    tx: Mutex<Sender<LoopbackTransport>>,
-}
-
-/// Accepts loopback connections created through the matching hub.
-pub struct LoopbackListener {
-    rx: Receiver<LoopbackTransport>,
-}
-
-/// Creates a hub/listener pair — the loopback analogue of binding a TCP
-/// listener and sharing its address.
-pub fn loopback_endpoint() -> (LoopbackHub, LoopbackListener) {
-    let (tx, rx) = channel();
-    (LoopbackHub { tx: Mutex::new(tx) }, LoopbackListener { rx })
-}
-
-impl LoopbackHub {
-    /// Opens a new connection to the listener.
-    pub fn connect(&self) -> Result<LoopbackTransport, CommsError> {
-        let (client, server) = loopback_pair();
-        let tx = self.tx.lock().expect("loopback hub poisoned");
-        tx.send(server).map_err(|_| CommsError::Closed)?;
-        Ok(client)
-    }
-}
-
-impl Listener for LoopbackListener {
-    fn accept(&mut self) -> Result<Box<dyn Transport>, CommsError> {
-        let conn = self.rx.recv().map_err(|_| CommsError::Closed)?;
-        Ok(Box::new(conn))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,17 +109,5 @@ mod tests {
             a.send(Message::Hello { proto: 1, pipe: 0, codec: ea_optim::Codec::F32 }),
             Err(CommsError::Closed)
         ));
-    }
-
-    #[test]
-    fn hub_and_listener_connect() {
-        let (hub, mut listener) = loopback_endpoint();
-        let mut client = hub.connect().unwrap();
-        let mut server = listener.accept().unwrap();
-        client.send(Message::Hello { proto: 1, pipe: 7, codec: ea_optim::Codec::F32 }).unwrap();
-        assert_eq!(
-            server.recv().unwrap(),
-            Message::Hello { proto: 1, pipe: 7, codec: ea_optim::Codec::F32 }
-        );
     }
 }

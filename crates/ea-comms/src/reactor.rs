@@ -1,12 +1,8 @@
-//! Non-blocking event-loop server core: connection multiplexing for
+//! Non-blocking event-loop server: connection multiplexing for
 //! thousand-worker fan-in.
 //!
-//! The thread-per-connection server in `ea-runtime` is simple and correct,
-//! but at large pipeline counts its costs are all in the wrong place: one
-//! OS thread (stack, scheduler slot, context switches) per mostly-idle
-//! worker, and a wake-per-message handoff between the socket and the
-//! shard state. This module replaces only the *server* side with a small
-//! reactor:
+//! It is the only I/O layer of the reference-shard server. The reactor
+//! keeps sockets here and protocol state in the handler:
 //!
 //! * `N` event-loop threads (`ReactorConfig::threads`, or the
 //!   `EA_COMMS_THREADS` environment variable) each own an epoll instance
@@ -78,10 +74,12 @@ impl ConnId {
         )
     }
 
-    /// An id from a raw `u64`, for tagging requests *outside* a reactor
-    /// (an embedder's direct-submit path, unit tests). Raw ids share the
-    /// packed namespace with reactor-issued ones, so never feed one back
-    /// into an [`Outbox`] — use it only as an opaque correlation key.
+    /// An id from a raw `u64`, for driving a [`ReactorHandler`] without a
+    /// reactor: a deterministic simulator (or a unit test) tags each of
+    /// its simulated connections with a raw id, calls the handler's
+    /// callbacks itself, and delivers what the handler staged by
+    /// [`Outbox::drain`]ing it. Raw ids share the packed namespace with
+    /// reactor-issued ones, so never mix the two in one handler.
     pub fn from_raw(raw: u64) -> ConnId {
         ConnId(raw)
     }
@@ -173,10 +171,21 @@ impl Outbox {
         self.closes.push((conn, why.into()));
     }
 
+    /// Takes every staged send and close, in staging order — for a
+    /// caller that drives a handler without a reactor and delivers the
+    /// actions itself.
+    pub fn drain(&mut self) -> Drained {
+        (std::mem::take(&mut self.sends), std::mem::take(&mut self.closes))
+    }
+
     pub(crate) fn is_empty(&self) -> bool {
         self.sends.is_empty() && self.closes.is_empty()
     }
 }
+
+/// An [`Outbox`]'s staged sends and closes, as [`Outbox::drain`] hands
+/// them over.
+pub type Drained = (Vec<(ConnId, Message)>, Vec<(ConnId, String)>);
 
 /// Server logic plugged into the reactor.
 ///
@@ -195,7 +204,7 @@ pub trait ReactorHandler: Send + Sync + 'static {
 
     /// Called periodically (at [`ReactorConfig::handler_poll`] cadence
     /// while [`Self::has_deferred`] reports work) so deferred replies —
-    /// e.g. parked blocking pulls — can complete or time out.
+    /// e.g. parked reference pulls — can complete or time out.
     fn poll(&self, _out: &mut Outbox) {}
 
     /// Whether `poll` currently has pending deferred work. When `false`
@@ -222,8 +231,7 @@ pub struct ReactorConfig {
     /// Clamped to 64.
     pub threads: usize,
     /// Drop connections with no complete inbound message for this long.
-    /// `None` disables idle reaping (connections park indefinitely, as
-    /// the blocking server allows).
+    /// `None` disables idle reaping (connections may idle indefinitely).
     pub idle_timeout: Option<Duration>,
     /// Slow-consumer bound: a connection whose encoded-but-unsent bytes
     /// exceed this is evicted.

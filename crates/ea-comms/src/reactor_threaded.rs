@@ -240,7 +240,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                spawn_conn(stream, &shared);
+                start_conn(stream, &shared);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -292,7 +292,7 @@ fn ticker_loop(shared: Arc<Shared>) {
     }
 }
 
-fn spawn_conn(stream: TcpStream, shared: &Arc<Shared>) {
+fn start_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let slot = shared.next_slot.fetch_add(1, Ordering::Relaxed) & 0xFFFF_FFFF;
     let gen = shared.gen.fetch_add(1, Ordering::Relaxed) & GEN_MASK;
     let id = ConnId::new(0, gen, slot);

@@ -133,10 +133,3 @@ impl Transport for Box<dyn Transport> {
         (**self).record_retry()
     }
 }
-
-/// Server side of a transport backend: yields one [`Transport`] per
-/// connecting pipeline.
-pub trait Listener: Send {
-    /// Accepts the next connection.
-    fn accept(&mut self) -> Result<Box<dyn Transport>, CommsError>;
-}

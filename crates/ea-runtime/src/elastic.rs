@@ -14,7 +14,7 @@
 use crate::metrics::ServerMetrics;
 use crate::{Error, ThreadedPipeline};
 use ea_autograd::{Stage, StagedModel};
-use ea_comms::{clock, CommsError, QuorumInfo, ShardChannel};
+use ea_comms::{CommsError, QuorumInfo, ShardChannel};
 use ea_data::Batch;
 use ea_optim::Optimizer;
 use ea_trace::{Category, StaticName};
@@ -22,7 +22,6 @@ use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// How many per-round membership records a shard retains.
 const RECORD_CAP: usize = 1024;
@@ -406,38 +405,6 @@ impl RefShard {
         }
         assert_eq!(st.version, version, "reference advanced past the pull point");
         st.weights.clone()
-    }
-
-    /// Transport-facing variant of [`RefShard::weights_at`]: waits until
-    /// at least `version` rounds are complete and returns the weights
-    /// *with the version they actually correspond to*. Retransmitted pull
-    /// requests can arrive after their round was superseded; the caller
-    /// matches on the returned version and discards stale replies instead
-    /// of panicking.
-    pub fn weights_at_least(&self, version: u64) -> (u64, Vec<f32>) {
-        let mut st = self.lock();
-        while st.version < version {
-            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-        (st.version, st.weights.clone())
-    }
-
-    /// Bounded-wait variant of [`RefShard::weights_at_least`]: gives up
-    /// after `timeout` and returns `None`. Fault-tolerant servers use this
-    /// so a pull for a round stalled by a dead peer cannot pin a
-    /// connection thread forever — the client simply retransmits, which
-    /// doubles as lease renewal while the reaper completes the round.
-    pub fn weights_within(&self, version: u64, timeout: Duration) -> Option<(u64, Vec<f32>)> {
-        let deadline = clock::now() + timeout;
-        let mut st = self.lock();
-        while st.version < version {
-            let remaining = deadline.saturating_sub(clock::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            st = self.cv.wait_timeout(st, remaining).unwrap_or_else(PoisonError::into_inner).0;
-        }
-        Some((st.version, st.weights.clone()))
     }
 
     /// Consistent `(version, weights)` snapshot under one lock hold.
@@ -1055,16 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_at_least_reports_the_actual_version() {
-        let shard = RefShard::new(vec![0.0; 1], 1);
-        shard.submit(0, vec![2.0]).unwrap();
-        shard.submit(0, vec![2.0]).unwrap();
-        let (v, w) = shard.weights_at_least(1);
-        assert_eq!(v, 2);
-        assert_eq!(w, vec![4.0]);
-    }
-
-    #[test]
     fn evicted_pipe_submission_is_lease_expired() {
         let shard = RefShard::new(vec![0.0; 1], 3);
         shard.submit_at(0, 0, vec![3.0]).unwrap();
@@ -1176,33 +1133,6 @@ mod tests {
         );
         // Readmitting a live member is a no-op.
         assert_eq!(shard.readmit(1), Ok(false));
-    }
-
-    #[test]
-    fn weights_at_least_wakes_on_a_degraded_version_bump() {
-        let shard = Arc::new(RefShard::new(vec![0.0; 1], 2));
-        shard.submit_at(0, 0, vec![8.0]).unwrap();
-        let waiter = {
-            let shard = Arc::clone(&shard);
-            std::thread::spawn(move || shard.weights_at_least(1))
-        };
-        // Give the waiter time to block on version 0 → 1.
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        shard.evict(1).unwrap(); // degraded apply bumps the version
-        let (v, w) = waiter.join().unwrap();
-        assert_eq!(v, 1);
-        assert_eq!(w, vec![8.0]);
-    }
-
-    #[test]
-    fn weights_within_times_out_on_a_stalled_round() {
-        let shard = RefShard::new(vec![0.0; 2], 2);
-        assert_eq!(shard.weights_within(1, std::time::Duration::from_millis(20)), None);
-        shard.submit_at(0, 0, vec![2.0, 0.0]).unwrap();
-        shard.submit_at(0, 1, vec![0.0, 2.0]).unwrap();
-        let (v, w) = shard.weights_within(1, std::time::Duration::from_millis(20)).unwrap();
-        assert_eq!(v, 1);
-        assert_eq!(w, vec![1.0, 1.0]);
     }
 
     #[test]

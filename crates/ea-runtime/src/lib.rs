@@ -43,9 +43,9 @@ mod elastic;
 mod error;
 mod membership;
 mod metrics;
-mod reactor_server;
 pub mod semantic;
 mod server;
+mod server_core;
 mod supervisor;
 mod threaded;
 
@@ -58,9 +58,9 @@ pub use membership::Membership;
 pub use metrics::{
     epochs_to_target, evaluate, EpochsToTarget, EvalResult, ServerMetrics, ServerMetricsSnapshot,
 };
-pub use reactor_server::ReactorDispatch;
 pub use semantic::{train_step, ElasticSemantic, StaleTrainer, SyncTrainer, Trainer};
-pub use server::{ConnState, ElasticWorker, FtConfig, RefShardServer, ShardServerCore};
+pub use server::{ElasticWorker, FtConfig, RefShardServer};
+pub use server_core::{ParkedPull, ServerCore};
 pub use supervisor::{
     ChannelFactory, RoundReport, ShutdownHandle, SupervisedWorker, SupervisorConfig, WorkerMode,
 };

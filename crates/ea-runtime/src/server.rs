@@ -1,9 +1,11 @@
-//! Transport-facing reference-shard server and the single-pipeline worker.
+//! The reference-shard server process and the single-pipeline worker.
 //!
 //! [`RefShardServer`] puts the [`RefShard`](crate::RefShard) accumulators
-//! behind an [`ea_comms::Listener`]: one service thread per accepted
-//! connection, speaking the elastic-averaging wire protocol (`Hello`
-//! handshake, `PullRequest`/`PullReply`, `SubmitDelta`/`Ack`,
+//! behind a TCP listener: [`RefShardServer::serve_reactor`] hands the
+//! server's [`ServerCore`] to the `ea-comms` epoll reactor, which
+//! multiplexes every connection over a few event-loop threads. The core
+//! speaks the elastic-averaging wire protocol (`Hello` handshake,
+//! `PullRequest`/`PullReply`, `SubmitDelta`/`Ack`,
 //! `Heartbeat`/`HeartbeatAck`, `RoundInfoRequest`/`RoundInfoReply`).
 //! Because submissions are idempotent on `(shard, round, pipe)` and pulls
 //! are reads, the server composes with at-least-once clients —
@@ -14,23 +16,25 @@
 //! [`RefShardServer::with_fault_tolerance`] arms the membership machinery:
 //!
 //! * Every message from pipeline `p` renews `p`'s **lease**
-//!   ([`Membership`]); idle workers send explicit heartbeats.
-//! * A background *reaper* thread expires lapsed leases and evicts the
-//!   dead pipeline from every shard quorum — a round stalled on the dead
-//!   worker then completes in **degraded-quorum** mode
-//!   (`w̃ ← w̃ + (1/k)·Σ Δ_i` over the `k` survivors).
-//! * Reference pulls wait at most [`FtConfig::pull_wait`] — a stalled
-//!   round cannot pin a connection thread; the client's retransmission
-//!   doubles as lease renewal while the reaper completes the round.
+//!   ([`Membership`](crate::Membership)); idle workers send explicit
+//!   heartbeats.
+//! * A background *reaper* thread runs [`ServerCore::reap`]: it expires
+//!   lapsed leases and evicts the dead pipeline from every shard quorum —
+//!   a round stalled on the dead worker then completes in
+//!   **degraded-quorum** mode (`w̃ ← w̃ + (1/k)·Σ Δ_i` over the `k`
+//!   survivors).
+//! * Parked reference pulls expire after [`FtConfig::pull_wait`]; the
+//!   client's retransmission doubles as lease renewal while the reaper
+//!   completes the round.
 //! * A message from an evicted pipeline *readmits* it at the next round
 //!   boundary, so a restarted worker re-enters the quorum cleanly.
 //! * The reaper periodically persists a round-tagged, checksummed
-//!   [`RefCheckpoint`](crate::RefCheckpoint) (atomic write–rename);
+//!   [`RefCheckpoint`] (atomic write–rename);
 //!   [`RefShardServer::from_checkpoint`] restores it on startup so a
 //!   server crash resumes at the recorded round.
 //!
 //! Every connection failure is **counted and logged**
-//! ([`ServerMetrics`]) — never silently swallowed.
+//! ([`ServerMetrics`](crate::ServerMetrics)) — never silently swallowed.
 //!
 //! [`ElasticWorker`] is the process-per-pipeline counterpart of
 //! [`ElasticTrainer`](crate::ElasticTrainer): one threaded pipeline whose
@@ -39,19 +43,18 @@
 //! over TCP to a `RefShardServer` in another process.
 
 use crate::checkpoint::RefCheckpoint;
-use crate::elastic::{RefShard, SubmitOutcome};
-use crate::membership::Membership;
-use crate::metrics::{ServerMetrics, ServerMetricsSnapshot};
+use crate::elastic::RefShard;
+use crate::metrics::ServerMetricsSnapshot;
+use crate::server_core::{ServerCore, PULL_SPAN, SUBMIT_SPAN};
 use crate::{Error, ThreadedPipeline};
 use ea_autograd::Stage;
 use ea_comms::clock::{self, Waiter};
-use ea_comms::{
-    Codec, CommsError, FrameError, Listener, Message, QuorumInfo, ShardChannel, Transport,
-    PROTO_VERSION,
-};
+use ea_comms::reactor::{Reactor, ReactorConfig, ReactorHandler};
+use ea_comms::{CommsError, QuorumInfo, ShardChannel};
 use ea_data::Batch;
 use ea_optim::Optimizer;
-use ea_trace::{log_event, Category, Histogram, RateLimit, StaticName};
+use ea_trace::{log_event, Category, StaticName};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -66,9 +69,9 @@ pub struct FtConfig {
     /// How often the reaper thread checks for lapsed leases (and writes
     /// checkpoints). Should be a fraction of `lease`.
     pub reap_interval: Duration,
-    /// Upper bound on how long a versioned pull may block server-side. On
-    /// expiry no reply is sent; the client retransmits, which renews its
-    /// lease while the reaper completes the stalled round.
+    /// Upper bound on how long a versioned pull stays parked server-side.
+    /// On expiry no reply is sent; the client retransmits, which renews
+    /// its lease while the reaper completes the stalled round.
     pub pull_wait: Duration,
     /// Periodic reference checkpointing: `(path, interval)`. The write is
     /// atomic (temp file + rename) and skipped whenever the shards are
@@ -91,87 +94,30 @@ impl Default for FtConfig {
 /// until `with_fault_tolerance` replaces it.
 const NO_LEASE: Duration = Duration::from_secs(365 * 24 * 3600);
 
-/// Everything a connection thread (or reactor dispatcher) needs, shared
-/// with the reaper.
-pub(crate) struct ServerCtx {
-    pub(crate) shards: Vec<Arc<RefShard>>,
-    pub(crate) n_pipelines: usize,
-    /// First *global* shard id this server owns. `shards[i]` holds global
-    /// shard `shard_base + i`; requests address shards globally.
-    pub(crate) shard_base: usize,
-    /// Total shard count of the partitioned model across every server.
-    pub(crate) total_shards: usize,
-    /// `Some` in fault-tolerant mode: bounded pull waits.
-    pub(crate) pull_wait: Option<Duration>,
-    pub(crate) membership: Membership,
-    pub(crate) metrics: Arc<ServerMetrics>,
-    /// Server-side time spent answering reference pulls (µs), including
-    /// any wait for the round to complete.
-    pub(crate) pull_us: Histogram,
-    /// Server-side time spent folding delta submissions (µs).
-    pub(crate) submit_us: Histogram,
-}
-
-impl ServerCtx {
-    fn build(
-        shards: Vec<Arc<RefShard>>,
-        n_pipelines: usize,
-        shard_range: (usize, usize),
-        pull_wait: Option<Duration>,
-        membership: Membership,
-        metrics: Arc<ServerMetrics>,
-    ) -> ServerCtx {
-        let pull_us = metrics.registry().histogram("ea_server_pull_us");
-        let submit_us = metrics.registry().histogram("ea_server_submit_us");
-        let (shard_base, total_shards) = shard_range;
-        ServerCtx {
-            shards,
-            n_pipelines,
-            shard_base,
-            total_shards,
-            pull_wait,
-            membership,
-            metrics,
-            pull_us,
-            submit_us,
-        }
-    }
-}
-
-/// Serves a set of reference shards to remote pipelines over any
-/// transport backend.
+/// Serves a set of reference shards to remote pipelines: a [`ServerCore`]
+/// plus the threads and files a process around it needs (the reaper and
+/// the checkpoint writes).
 pub struct RefShardServer {
-    pub(crate) ctx: Arc<ServerCtx>,
+    core: Arc<ServerCore>,
     checkpoint: Option<(PathBuf, Duration)>,
     reaper_stop: Arc<Waiter>,
     reaper: Option<JoinHandle<()>>,
 }
 
 impl RefShardServer {
-    /// Wraps existing shards (all must expect the same `n_pipelines`).
-    pub fn new(shards: Vec<Arc<RefShard>>, n_pipelines: usize) -> Self {
-        assert!(!shards.is_empty(), "a server needs at least one shard");
-        for sh in &shards {
-            assert_eq!(sh.n_pipelines(), n_pipelines, "shards disagree on pipeline count");
-        }
-        let metrics = Arc::new(ServerMetrics::new());
-        for sh in &shards {
-            sh.set_metrics(Arc::clone(&metrics));
-        }
-        let total = shards.len();
+    fn with_core(core: ServerCore) -> Self {
         RefShardServer {
-            ctx: Arc::new(ServerCtx::build(
-                shards,
-                n_pipelines,
-                (0, total),
-                None,
-                Membership::new(n_pipelines, NO_LEASE),
-                metrics,
-            )),
+            core: Arc::new(core),
             checkpoint: None,
             reaper_stop: Arc::new(Waiter::new()),
             reaper: None,
         }
+    }
+
+    /// Wraps existing shards (all must expect the same `n_pipelines`).
+    pub fn new(shards: Vec<Arc<RefShard>>, n_pipelines: usize) -> Self {
+        let total = shards.len();
+        Self::with_core(ServerCore::new(shards, n_pipelines, (0, total), NO_LEASE, None))
     }
 
     /// Declares this server one slice of a partitioned reference model:
@@ -182,22 +128,8 @@ impl RefShardServer {
     /// [`RefShardServer::with_fault_tolerance`], which preserves the
     /// range).
     pub fn with_shard_range(self, shard_base: usize, total_shards: usize) -> Self {
-        let owned = self.ctx.shards.len();
-        assert!(
-            shard_base + owned <= total_shards,
-            "shard range {shard_base}..{} exceeds total {total_shards}",
-            shard_base + owned
-        );
-        let old = &self.ctx;
-        let ctx = Arc::new(ServerCtx::build(
-            old.shards.clone(),
-            old.n_pipelines,
-            (shard_base, total_shards),
-            old.pull_wait,
-            Membership::new(old.n_pipelines, NO_LEASE),
-            Arc::clone(&old.metrics),
-        ));
-        RefShardServer { ctx, checkpoint: None, reaper_stop: Arc::new(Waiter::new()), reaper: None }
+        let core = &self.core;
+        Self::with_core(core.reconfigure((shard_base, total_shards), NO_LEASE, core.pull_wait))
     }
 
     /// Builds fresh shards from per-stage initial reference weights.
@@ -211,109 +143,83 @@ impl RefShardServer {
     /// at the recorded round with the recorded weights, so training
     /// resumes where the crashed server left off instead of resetting.
     pub fn from_checkpoint(ckpt: &RefCheckpoint, n_pipelines: usize) -> Self {
-        let shards = ckpt
-            .shards
-            .iter()
-            .map(|w| Arc::new(RefShard::with_version(w.clone(), n_pipelines, ckpt.round)))
-            .collect();
-        let server =
-            Self::new(shards, n_pipelines).with_shard_range(ckpt.shard_base, ckpt.total_shards);
-        server.ctx.metrics.inc_checkpoint_restores();
-        server
+        Self::with_core(ServerCore::from_checkpoint(ckpt, n_pipelines, NO_LEASE, None))
     }
 
     /// Arms fault tolerance: lease-based membership, bounded pull waits,
     /// the reaper thread (degraded-quorum completion of stalled rounds),
     /// and optional periodic checkpointing. Call before serving.
     pub fn with_fault_tolerance(self, cfg: FtConfig) -> Self {
-        let old = &self.ctx;
-        let ctx = Arc::new(ServerCtx::build(
-            old.shards.clone(),
-            old.n_pipelines,
-            (old.shard_base, old.total_shards),
-            Some(cfg.pull_wait),
-            Membership::new(old.n_pipelines, cfg.lease),
-            Arc::clone(&old.metrics),
-        ));
+        let old = &self.core;
+        let range = (old.shard_base, old.total_shards);
+        let core = Arc::new(old.reconfigure(range, cfg.lease, Some(cfg.pull_wait)));
         let stop = Arc::new(Waiter::new());
         let reaper = {
-            let ctx = Arc::clone(&ctx);
+            let core = Arc::clone(&core);
             let stop = Arc::clone(&stop);
             let checkpoint = cfg.checkpoint.clone();
             let interval = cfg.reap_interval;
             std::thread::Builder::new()
                 .name("shard-reaper".into())
-                .spawn(move || reaper_loop(&ctx, &stop, interval, checkpoint))
+                .spawn(move || reaper_loop(&core, &stop, interval, checkpoint))
                 .expect("spawn reaper thread")
         };
-        RefShardServer { ctx, checkpoint: cfg.checkpoint, reaper_stop: stop, reaper: Some(reaper) }
+        RefShardServer { core, checkpoint: cfg.checkpoint, reaper_stop: stop, reaper: Some(reaper) }
+    }
+
+    /// Serves `listener` on the `ea-comms` reactor: all connections
+    /// multiplexed over `cfg.threads` event-loop threads, dispatched to
+    /// this server's [`ServerCore`]. Serve a server from one reactor at a
+    /// time: the core keys connection state by reactor-issued ids.
+    ///
+    /// The returned [`Reactor`] serves until dropped or
+    /// [`shutdown`](Reactor::shutdown).
+    pub fn serve_reactor(
+        &self,
+        listener: TcpListener,
+        cfg: ReactorConfig,
+    ) -> std::io::Result<Reactor> {
+        let handler: Arc<dyn ReactorHandler> = self.core.clone();
+        Reactor::spawn(listener, handler, cfg)
+    }
+
+    /// This server's protocol core, for embedding in a *composite*
+    /// reactor handler — e.g. an inference frontend that routes `Infer` to
+    /// its own engine and delegates the whole trainer protocol (plus
+    /// weight subscriptions) here.
+    pub fn core(&self) -> &Arc<ServerCore> {
+        &self.core
     }
 
     /// The shards being served (e.g. to snapshot the final reference).
     pub fn shards(&self) -> &[Arc<RefShard>] {
-        &self.ctx.shards
+        self.core.shards()
     }
 
     /// Point-in-time copy of the health/fault counters.
     pub fn metrics(&self) -> ServerMetricsSnapshot {
-        self.ctx.metrics.snapshot()
+        self.core.metrics()
     }
 
     /// One-shot Prometheus text exposition dump: this server's private
     /// counters and latency histograms, followed by the process-wide
     /// [`ea_trace::metrics::global`] registry (pool stats, log totals).
     pub fn render_prometheus(&self) -> String {
-        let mut out = self.ctx.metrics.registry().render_prometheus();
+        let mut out = self.core.metrics.registry().render_prometheus();
         out.push_str(&ea_trace::metrics::global().render_prometheus());
         out
     }
 
     /// Live-membership count as seen by the lease tracker.
     pub fn live_count(&self) -> usize {
-        self.ctx.membership.live_count()
+        self.core.live_count()
     }
 
     /// Writes a consistent reference checkpoint now (all shards at the
     /// same version), if one is possible. Returns whether a file was
     /// written.
     pub fn checkpoint_now(&self, path: &std::path::Path) -> std::io::Result<bool> {
-        match save_consistent_checkpoint(&self.ctx, path)? {
-            true => {
-                self.ctx.metrics.inc_checkpoints_saved();
-                Ok(true)
-            }
-            false => Ok(false),
-        }
-    }
-
-    /// Accepts exactly `n_conns` connections and serves each on its own
-    /// thread. Returns the service-thread handles; each thread runs until
-    /// its peer disconnects or violates the protocol.
-    pub fn serve_connections(
-        &self,
-        listener: &mut dyn Listener,
-        n_conns: usize,
-    ) -> Result<Vec<JoinHandle<()>>, CommsError> {
-        (0..n_conns).map(|_| Ok(self.spawn_conn(listener.accept()?))).collect()
-    }
-
-    /// Serves one already-established connection on a new thread.
-    pub fn spawn_conn(&self, conn: Box<dyn Transport>) -> JoinHandle<()> {
-        let ctx = Arc::clone(&self.ctx);
-        std::thread::spawn(move || serve_conn(&ctx, conn))
-    }
-
-    /// Runs an accept loop on its own thread, serving every connection
-    /// until the listener fails (e.g. is dropped/closed). Lets workers
-    /// connect, crash, and reconnect in any order.
-    pub fn serve_background(&self, mut listener: Box<dyn Listener>) -> JoinHandle<()> {
-        let ctx = Arc::clone(&self.ctx);
-        std::thread::spawn(move || {
-            while let Ok(conn) = listener.accept() {
-                let ctx = Arc::clone(&ctx);
-                std::thread::spawn(move || serve_conn(&ctx, conn));
-            }
-        })
+        save_checkpoint(&self.core, path)
     }
 }
 
@@ -330,606 +236,44 @@ impl Drop for RefShardServer {
     }
 }
 
-static EVICT_MARK: StaticName = StaticName::new("evict");
-static REJOIN_MARK: StaticName = StaticName::new("rejoin");
-static PULL_SPAN: StaticName = StaticName::new("pull");
-static SUBMIT_SPAN: StaticName = StaticName::new("submit");
 static WORKER_ROUND_SPAN: StaticName = StaticName::new("round");
 
-/// Evictions are per-lease-expiry events: a flapping cluster can emit
-/// them in storms, so the log line (not the counter, not the trace
-/// event) is capped.
-static EVICT_LOG_LIMIT: RateLimit = RateLimit::new(10);
-
-/// The reaper: expires leases, evicts dead pipelines from the shard
-/// quorums (completing stalled rounds degraded), and periodically
-/// persists a consistent reference checkpoint.
+/// The reaper thread: runs the core's reap pass every `interval` and
+/// periodically persists a consistent reference checkpoint.
 fn reaper_loop(
-    ctx: &ServerCtx,
+    core: &ServerCore,
     stop: &Waiter,
     interval: Duration,
     checkpoint: Option<(PathBuf, Duration)>,
 ) {
-    // Pipelines whose eviction is pending — usually applied immediately,
-    // but kept for retry when eviction would empty the quorum.
-    let mut deferred: Vec<usize> = Vec::new();
     let mut last_save = clock::now();
     loop {
         if stop.wait_timeout(interval) {
             return; // shutdown requested mid-sleep
         }
-        reap_once(ctx, clock::now(), &mut deferred);
+        core.reap();
         if let Some((path, every)) = &checkpoint {
             let now = clock::now();
             if now.saturating_sub(last_save) >= *every {
                 last_save = now;
-                match save_consistent_checkpoint(ctx, path) {
-                    Ok(true) => ctx.metrics.inc_checkpoints_saved(),
-                    Ok(false) => {} // mid-round; next tick will catch it
-                    Err(e) => log_event!(Error, "refshard", "checkpoint write failed: {e}"),
+                if let Err(e) = save_checkpoint(core, path) {
+                    log_event!(Error, "refshard", "checkpoint write failed: {e}");
                 }
             }
         }
     }
-}
-
-/// One reaper pass as of `now` (a [`clock::now`] reading): expires lapsed
-/// leases and evicts the dead pipelines from every shard quorum, completing
-/// stalled rounds degraded. `deferred` carries pipes whose eviction is
-/// blocked on quorum loss between passes. Returns the pipes evicted by this
-/// pass. Shared by the reaper thread and the thread-free
-/// [`ShardServerCore`] the simulation harness drives.
-pub(crate) fn reap_once(ctx: &ServerCtx, now: Duration, deferred: &mut Vec<usize>) -> Vec<usize> {
-    deferred.extend(ctx.membership.reap(now));
-    let mut evicted_now = Vec::new();
-    deferred.retain(|&p| {
-        if ctx.membership.is_live(p) {
-            // Rejoined between reap and eviction; connection threads
-            // already readmitted it.
-            return false;
-        }
-        let mut evicted = false;
-        let mut quorum_lost = false;
-        for sh in &ctx.shards {
-            match sh.evict(p) {
-                Ok(true) => evicted = true,
-                Ok(false) => {}
-                Err(Error::QuorumLost { live, round }) => {
-                    quorum_lost = true;
-                    log_event!(
-                        Warn,
-                        "refshard",
-                        "refusing to evict pipe {p}: quorum would be lost \
-                         ({live} live at round {round})"
-                    );
-                }
-                Err(e) => log_event!(Error, "refshard", "evicting pipe {p}: {e}"),
-            }
-        }
-        if evicted {
-            evicted_now.push(p);
-            ctx.metrics.inc_evictions();
-            ea_trace::instant(&EVICT_MARK, Category::Runtime, p as u64);
-            // Lease expiry is exactly the moment a flight recorder
-            // exists for: dump the window leading up to it.
-            ea_ops::recorder::anomaly("evict");
-            if EVICT_LOG_LIMIT.allow() {
-                log_event!(Warn, "refshard", "EVICTED pipe={p} (lease expired)");
-            }
-        }
-        if quorum_lost {
-            ctx.metrics.inc_quorum_lost();
-        }
-        quorum_lost // keep for retry only while the quorum blocks it
-    });
-    evicted_now
 }
 
 /// Persists the shards iff they are at one consistent version (not
-/// mid-round). Returns whether a file was written.
-fn save_consistent_checkpoint(ctx: &ServerCtx, path: &std::path::Path) -> std::io::Result<bool> {
-    let snaps: Vec<(u64, Vec<f32>)> = ctx.shards.iter().map(|sh| sh.versioned_snapshot()).collect();
-    let round = snaps[0].0;
-    if snaps.iter().any(|(v, _)| *v != round) {
+/// mid-round; the next tick catches those). Returns whether a file was
+/// written.
+fn save_checkpoint(core: &ServerCore, path: &std::path::Path) -> std::io::Result<bool> {
+    let Some(ckpt) = core.capture_checkpoint() else {
         return Ok(false);
-    }
-    let shards: Vec<Vec<f32>> = snaps.into_iter().map(|(_, w)| w).collect();
-    RefCheckpoint::capture_range(round, shards, ctx.shard_base, ctx.total_shards).save(path)?;
+    };
+    ckpt.save(path)?;
+    core.metrics.inc_checkpoints_saved();
     Ok(true)
-}
-
-/// The thread-free heart of a fault-tolerant [`RefShardServer`]: the same
-/// protocol dispatch ([`ConnState`] + per-message serving), lease
-/// membership, reaper pass, and consistent-checkpoint capture — but driven
-/// entirely by its caller. No threads are spawned, no sockets opened, no
-/// files written; time is whatever [`ea_comms::clock`] says it is.
-///
-/// This is what the `ea-chaos` deterministic simulator runs: every server
-/// actor owns a `ShardServerCore`, feeds it messages from the simulated
-/// network, and calls [`ShardServerCore::reap_tick`] from a virtual timer.
-/// Because it is the *same* `handle`/`touch`/`reap` code the production
-/// connection threads execute, a protocol bug found under simulation is a
-/// bug in the real server.
-pub struct ShardServerCore {
-    ctx: Arc<ServerCtx>,
-    /// Pipes whose eviction is blocked on quorum loss, carried between
-    /// reap ticks (the reaper thread keeps the equivalent on its stack).
-    deferred: Vec<usize>,
-}
-
-impl ShardServerCore {
-    /// A fault-tolerant core over `shards` (global shards
-    /// `shard_base..shard_base + shards.len()` of `total_shards`), with
-    /// lease-based membership and bounded pull waits. Use
-    /// `pull_wait = Duration::ZERO` under simulation so a pull for an
-    /// incomplete round returns "no reply yet" instead of blocking — the
-    /// client's retransmission drives progress, exactly as in the real
-    /// fault-tolerant deployment.
-    pub fn new(
-        shards: Vec<Arc<RefShard>>,
-        n_pipelines: usize,
-        shard_range: (usize, usize),
-        lease: Duration,
-        pull_wait: Duration,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a server needs at least one shard");
-        for sh in &shards {
-            assert_eq!(sh.n_pipelines(), n_pipelines, "shards disagree on pipeline count");
-        }
-        let (shard_base, total_shards) = shard_range;
-        assert!(
-            shard_base + shards.len() <= total_shards,
-            "shard range {shard_base}..{} exceeds total {total_shards}",
-            shard_base + shards.len()
-        );
-        let metrics = Arc::new(ServerMetrics::new());
-        for sh in &shards {
-            sh.set_metrics(Arc::clone(&metrics));
-        }
-        ShardServerCore {
-            ctx: Arc::new(ServerCtx::build(
-                shards,
-                n_pipelines,
-                shard_range,
-                Some(pull_wait),
-                Membership::new(n_pipelines, lease),
-                metrics,
-            )),
-            deferred: Vec::new(),
-        }
-    }
-
-    /// Builds fresh shards from per-stage initial weights, owning the
-    /// whole model (`shard_base = 0`).
-    pub fn from_initial_weights(
-        stage_weights: Vec<Vec<f32>>,
-        n_pipelines: usize,
-        lease: Duration,
-        pull_wait: Duration,
-    ) -> Self {
-        let total = stage_weights.len();
-        let shards =
-            stage_weights.into_iter().map(|w| Arc::new(RefShard::new(w, n_pipelines))).collect();
-        Self::new(shards, n_pipelines, (0, total), lease, pull_wait)
-    }
-
-    /// Restores from a reference checkpoint: every shard starts at the
-    /// recorded round with the recorded weights — the simulated analogue
-    /// of [`RefShardServer::from_checkpoint`].
-    pub fn from_checkpoint(
-        ckpt: &RefCheckpoint,
-        n_pipelines: usize,
-        lease: Duration,
-        pull_wait: Duration,
-    ) -> Self {
-        let shards = ckpt
-            .shards
-            .iter()
-            .map(|w| Arc::new(RefShard::with_version(w.clone(), n_pipelines, ckpt.round)))
-            .collect();
-        let core =
-            Self::new(shards, n_pipelines, (ckpt.shard_base, ckpt.total_shards), lease, pull_wait);
-        core.ctx.metrics.inc_checkpoint_restores();
-        core
-    }
-
-    /// Serves one message on a connection: lease renewal, codec
-    /// negotiation, protocol dispatch, reply transcode. `Err` means the
-    /// connection must be dropped (the shard state is untouched);
-    /// `Ok(None)` means no reply is owed and the peer should retransmit.
-    pub fn serve_message(
-        &self,
-        st: &mut ConnState,
-        msg: Message,
-    ) -> Result<Option<Message>, CommsError> {
-        serve_message(&self.ctx, st, msg)
-    }
-
-    /// One reaper pass at the current [`clock::now`]: expires lapsed
-    /// leases and evicts dead pipelines (stalled rounds complete with a
-    /// degraded quorum). Returns the pipes evicted by this pass.
-    pub fn reap_tick(&mut self) -> Vec<usize> {
-        reap_once(&self.ctx, clock::now(), &mut self.deferred)
-    }
-
-    /// In-memory consistent checkpoint: `None` while the shards are
-    /// mid-round (inconsistent versions), just like the periodic
-    /// file-backed checkpoint skips those ticks.
-    pub fn capture_checkpoint(&self) -> Option<RefCheckpoint> {
-        let snaps: Vec<(u64, Vec<f32>)> =
-            self.ctx.shards.iter().map(|sh| sh.versioned_snapshot()).collect();
-        let round = snaps[0].0;
-        if snaps.iter().any(|(v, _)| *v != round) {
-            return None;
-        }
-        let shards: Vec<Vec<f32>> = snaps.into_iter().map(|(_, w)| w).collect();
-        Some(RefCheckpoint::capture_range(
-            round,
-            shards,
-            self.ctx.shard_base,
-            self.ctx.total_shards,
-        ))
-    }
-
-    /// The shards being served.
-    pub fn shards(&self) -> &[Arc<RefShard>] {
-        &self.ctx.shards
-    }
-
-    /// Point-in-time copy of the health/fault counters.
-    pub fn metrics(&self) -> ServerMetricsSnapshot {
-        self.ctx.metrics.snapshot()
-    }
-
-    /// Live-membership count as seen by the lease tracker.
-    pub fn live_count(&self) -> usize {
-        self.ctx.membership.live_count()
-    }
-
-    /// Highest completed round across the owned shards.
-    pub fn max_version(&self) -> u64 {
-        self.ctx.shards.iter().map(|sh| sh.version()).max().unwrap_or(0)
-    }
-}
-
-/// The pipeline id a message identifies itself with, if any. Compressed
-/// submissions count: a lossy-codec worker mid-round must renew its lease
-/// with every `SubmitDeltaC` exactly like an uncompressed worker does with
-/// `SubmitDelta`, or a burst of lost heartbeats gets an *actively
-/// submitting* pipeline evicted (found by the ea-chaos lease oracles).
-pub(crate) fn msg_pipe(msg: &Message) -> Option<usize> {
-    match msg {
-        Message::Hello { pipe, .. }
-        | Message::SubmitDelta { pipe, .. }
-        | Message::SubmitDeltaC { pipe, .. }
-        | Message::Heartbeat { pipe, .. } => Some(*pipe as usize),
-        _ => None,
-    }
-}
-
-/// Lease renewal + readmission on any message from pipeline `p`. Shard
-/// readmission runs even when the membership entry is already live, to
-/// heal the (benign) race where the reaper evicted a pipe that rejoined
-/// between the lease check and the eviction.
-pub(crate) fn touch(ctx: &ServerCtx, p: usize) {
-    let was_dead = ctx.membership.join(p);
-    let mut readmitted = was_dead;
-    // One join boundary for all shards: past the highest in-flight round,
-    // so a rejoiner resyncing to the max shard version can never land
-    // beyond a round some slower shard still requires it for.
-    let joined_at = ctx.shards.iter().map(|s| s.version()).max().unwrap_or(0) + 1;
-    for sh in &ctx.shards {
-        if sh.readmit_at(p, joined_at) == Ok(true) {
-            readmitted = true;
-        }
-    }
-    if readmitted {
-        ctx.metrics.inc_rejoins();
-        ea_trace::instant(&REJOIN_MARK, Category::Runtime, p as u64);
-        log_event!(Info, "refshard", "REJOIN pipe={p}");
-    }
-}
-
-/// Per-connection sticky protocol state, shared by the blocking connection
-/// threads and the simulated connections of `ea-chaos`.
-#[derive(Debug, Default)]
-pub struct ConnState {
-    /// Learned from the first self-identifying message (Hello/Submit/
-    /// Heartbeat); every later message on the connection renews its lease.
-    pipe: Option<usize>,
-    /// Delta codec negotiated by this connection's Hello; replies are
-    /// transcoded to it at this edge so `handle` stays codec-agnostic.
-    codec: Option<Codec>,
-}
-
-impl ConnState {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The pipeline this connection identified itself as, if known yet.
-    pub fn pipe(&self) -> Option<usize> {
-        self.pipe
-    }
-
-    fn codec(&self) -> Codec {
-        self.codec.unwrap_or(Codec::F32)
-    }
-}
-
-/// The whole per-message server path: lease renewal/readmission, inbound
-/// codec transcode, protocol dispatch, outbound transcode. `Err` means the
-/// connection must be dropped; `Ok(None)` means no reply is owed (bounded
-/// pull expired — the peer retransmits).
-pub(crate) fn serve_message(
-    ctx: &ServerCtx,
-    st: &mut ConnState,
-    msg: Message,
-) -> Result<Option<Message>, CommsError> {
-    if let Some(p) = msg_pipe(&msg) {
-        if p < ctx.n_pipelines {
-            st.pipe = Some(p);
-        }
-    }
-    if let Some(p) = st.pipe {
-        touch(ctx, p);
-    }
-    if let Message::Hello { codec: c, .. } = &msg {
-        st.codec = Some(*c);
-    }
-    let msg = decode_request(msg)?;
-    Ok(handle(ctx, msg)?.map(|reply| encode_reply(reply, st.codec())))
-}
-
-fn serve_conn(ctx: &ServerCtx, mut conn: Box<dyn Transport>) {
-    let mut st = ConnState::new();
-    loop {
-        let pipe = st.pipe;
-        let msg = match conn.recv() {
-            Ok(msg) => msg,
-            Err(CommsError::Closed) => {
-                // Clean disconnect; in ft mode the lease decides whether
-                // the pipeline is dead — a reconnect may be imminent.
-                ctx.metrics.inc_disconnects();
-                return;
-            }
-            Err(CommsError::Frame(FrameError::BadCrc { expected, got })) => {
-                ctx.metrics.inc_crc_failures();
-                log_event!(
-                    Error,
-                    "refshard",
-                    "dropping conn (pipe {pipe:?}): frame CRC mismatch \
-                     (expected {expected:#010x}, got {got:#010x})"
-                );
-                return;
-            }
-            Err(CommsError::Frame(e)) => {
-                ctx.metrics.inc_protocol_violations();
-                log_event!(Error, "refshard", "dropping conn (pipe {pipe:?}): bad frame: {e}");
-                return;
-            }
-            Err(e) => {
-                ctx.metrics.inc_io_errors();
-                log_event!(Error, "refshard", "dropping conn (pipe {pipe:?}): receive failed: {e}");
-                return;
-            }
-        };
-        match serve_message(ctx, &mut st, msg) {
-            Ok(Some(reply)) => {
-                if conn.send(reply).is_err() {
-                    ctx.metrics.inc_disconnects();
-                    return;
-                }
-            }
-            Ok(None) => {} // bounded pull expired: client will retransmit
-            Err(e) => {
-                // Protocol violation: close the connection. The shard
-                // state is untouched (bad submissions are rejected
-                // atomically).
-                ctx.metrics.inc_protocol_violations();
-                log_event!(Warn, "refshard", "dropping conn (pipe {:?}): {e}", st.pipe);
-                return;
-            }
-        }
-    }
-}
-
-/// Computes the reply for one request. `Err` means the connection must be
-/// closed; `Ok(None)` means no reply is owed (the peer retransmits).
-pub(crate) fn handle(ctx: &ServerCtx, msg: Message) -> Result<Option<Message>, CommsError> {
-    let shards = &ctx.shards;
-    match msg {
-        Message::Hello { proto, pipe: _, codec } => {
-            if proto != PROTO_VERSION as u16 {
-                return Err(CommsError::Protocol(format!(
-                    "peer speaks protocol {proto}, server speaks {PROTO_VERSION}"
-                )));
-            }
-            // Any codec the wire layer can parse is acceptable: echo it to
-            // seal the negotiation, and announce the owned shard slice of
-            // the global partition so scatter-gather clients can route.
-            Ok(Some(Message::HelloAck {
-                proto: PROTO_VERSION as u16,
-                n_shards: ctx.total_shards as u32,
-                n_pipelines: ctx.n_pipelines as u32,
-                codec,
-                shard_base: ctx.shard_base as u32,
-                shard_count: shards.len() as u32,
-            }))
-        }
-        Message::PullRequest { shard, version } => {
-            let _t = ctx.pull_us.start_timer();
-            let _span = ea_trace::span_arg(&PULL_SPAN, Category::Comm, version);
-            let sh = lookup(ctx, shard)?;
-            if version == u64::MAX {
-                // Latest-snapshot sentinel: a rejoining worker asking
-                // "where are we?" — never blocks.
-                let (actual, weights) = sh.versioned_snapshot();
-                return Ok(Some(Message::PullReply { shard, version: actual, weights }));
-            }
-            match ctx.pull_wait {
-                // Fault-tolerant mode: wait boundedly. A round stalled on
-                // a dead peer must not pin this thread — the reaper will
-                // complete it degraded and the client's retransmission
-                // (which renewed its lease) gets the weights.
-                Some(timeout) => match sh.weights_within(version, timeout) {
-                    Some((actual, weights)) => {
-                        Ok(Some(Message::PullReply { shard, version: actual, weights }))
-                    }
-                    None => Ok(None),
-                },
-                None => {
-                    // A retransmitted pull can arrive after its round was
-                    // superseded; reply with the weights' *actual* version
-                    // so the client can discard the stale answer instead
-                    // of mistaking newer weights for older ones.
-                    let (actual, weights) = sh.weights_at_least(version);
-                    Ok(Some(Message::PullReply { shard, version: actual, weights }))
-                }
-            }
-        }
-        Message::SubmitDelta { shard, round, pipe, delta } => {
-            let _t = ctx.submit_us.start_timer();
-            // Same span id the worker stamped on its submit span — the
-            // fleet collector joins the two across processes on it.
-            let _span = ea_trace::span_arg(&SUBMIT_SPAN, Category::Comm, round)
-                .with_ctx(ea_ops::exchange_span_id(round, pipe));
-            let sh = lookup(ctx, shard)?;
-            match sh.submit_at(round, pipe as usize, delta) {
-                Ok(outcome) => Ok(Some(Message::Ack {
-                    shard,
-                    round,
-                    pipe,
-                    duplicate: outcome == SubmitOutcome::Duplicate,
-                })),
-                Err(e) => Err(CommsError::Protocol(e.to_string())),
-            }
-        }
-        Message::Heartbeat { pipe, round: beat_round, t_tx_us } => {
-            if pipe as usize >= ctx.n_pipelines {
-                return Err(CommsError::Protocol(format!(
-                    "heartbeat from unknown pipe {pipe} (server has {})",
-                    ctx.n_pipelines
-                )));
-            }
-            ctx.metrics.inc_heartbeats();
-            // The worker's round is authoritative about its own past: it
-            // will never submit a round below it. A server restored from
-            // a stale checkpoint uses this to stop waiting for rounds
-            // the workers completed against the pre-crash incarnation
-            // (each such round finishes empty; see `RefShard::defer_until`).
-            for sh in shards {
-                sh.defer_until(pipe as usize, beat_round);
-            }
-            let round = shards.iter().map(|sh| sh.version()).max().unwrap_or(0);
-            // Health-model gauges: each worker's self-reported round and
-            // its lag behind the reference, keyed by pipe so the fleet
-            // Prometheus view shows which worker is falling behind.
-            let reg = ea_trace::metrics::global();
-            reg.gauge(&format!("ea_worker_round_p{pipe}")).set(beat_round as i64);
-            reg.gauge(&format!("ea_worker_round_lag_p{pipe}"))
-                .set(round.saturating_sub(beat_round) as i64);
-            Ok(Some(Message::HeartbeatAck {
-                pipe,
-                round,
-                quorum: ctx.membership.live_count() as u32,
-                members: ctx.membership.mask(),
-                // Clock-alignment echo (NTP-style): the worker computes
-                // offset = t_server - (t_tx + t_rx)/2 from these.
-                echo_tx_us: t_tx_us,
-                t_server_us: ea_comms::clock::now_us(),
-            }))
-        }
-        Message::RoundInfoRequest { shard, round } => {
-            let sh = lookup(ctx, shard)?;
-            Ok(Some(match sh.round_record(round) {
-                Some(rec) => Message::RoundInfoReply {
-                    shard,
-                    round,
-                    quorum: rec.quorum,
-                    members: rec.members,
-                    known: true,
-                },
-                None => {
-                    Message::RoundInfoReply { shard, round, quorum: 0, members: 0, known: false }
-                }
-            }))
-        }
-        Message::MetricsRequest => {
-            Ok(Some(Message::MetricsReply { counters: ctx.metrics.snapshot().to_wire() }))
-        }
-        Message::SubscribeWeights { shard } => {
-            // Read-only subscription (serving replicas): answer with the
-            // current snapshot immediately. Deliberately *not* in
-            // `msg_pipe`, so a subscriber never registers lease
-            // membership and cannot stall a training quorum. Round-
-            // boundary pushes are layered on by the reactor dispatch;
-            // on the blocking path a subscriber re-requests to poll.
-            let sh = lookup(ctx, shard)?;
-            let (version, weights) = sh.versioned_snapshot();
-            Ok(Some(Message::WeightsUpdate { shard, version, weights }))
-        }
-        other => Err(CommsError::Protocol(format!("unexpected {} from peer", other.name()))),
-    }
-}
-
-/// Resolves a *global* shard id to this server's local accumulator.
-pub(crate) fn lookup(ctx: &ServerCtx, shard: u32) -> Result<&Arc<RefShard>, CommsError> {
-    (shard as usize).checked_sub(ctx.shard_base).and_then(|local| ctx.shards.get(local)).ok_or_else(
-        || {
-            CommsError::Protocol(format!(
-                "shard {shard} not owned here (this server holds {}..{})",
-                ctx.shard_base,
-                ctx.shard_base + ctx.shards.len()
-            ))
-        },
-    )
-}
-
-/// Edge transcode, inbound: a `SubmitDeltaC` becomes the `SubmitDelta`
-/// the codec-agnostic [`handle`] understands. The blob is returned to the
-/// byte pool; an undecodable blob is a protocol violation.
-pub(crate) fn decode_request(msg: Message) -> Result<Message, CommsError> {
-    match msg {
-        Message::SubmitDeltaC { shard, round, pipe, codec, n, blob } => {
-            let delta = codec.decode(n as usize, &blob).map_err(|e| {
-                CommsError::Protocol(format!("undecodable {} SubmitDeltaC: {e}", codec.name()))
-            })?;
-            ea_comms::recycle_blob(blob);
-            Ok(Message::SubmitDelta { shard, round, pipe, delta })
-        }
-        other => Ok(other),
-    }
-}
-
-/// Edge transcode, outbound: weight-bearing replies are compressed with
-/// the connection's negotiated codec ([`ea_optim::Codec::weights_codec`]
-/// of it — top-k deltas still pull dense references). Everything else
-/// passes through untouched.
-pub(crate) fn encode_reply(reply: Message, codec: ea_comms::Codec) -> Message {
-    let wcodec = codec.weights_codec();
-    if wcodec == ea_comms::Codec::F32 {
-        return reply;
-    }
-    match reply {
-        Message::PullReply { shard, version, weights } => {
-            let (n, blob) = encode_weights(wcodec, weights);
-            Message::PullReplyC { shard, version, codec: wcodec, n, blob }
-        }
-        Message::WeightsUpdate { shard, version, weights } => {
-            let (n, blob) = encode_weights(wcodec, weights);
-            Message::WeightsUpdateC { shard, version, codec: wcodec, n, blob }
-        }
-        other => other,
-    }
-}
-
-fn encode_weights(codec: ea_comms::Codec, weights: Vec<f32>) -> (u32, Vec<u8>) {
-    let n = weights.len() as u32;
-    let mut blob = ea_comms::take_blob(codec.encoded_len(weights.len()));
-    codec.encode(&weights, &mut blob);
-    ea_tensor::pool::recycle(weights);
-    (n, blob)
 }
 
 /// One pipeline of the elastic-averaging ensemble, driven standalone —
@@ -1072,38 +416,41 @@ impl ElasticWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ea_comms::{loopback_endpoint, RemoteShards, RetryConfig, ShardClient};
+    use ea_comms::{
+        Codec, Message, RemoteShards, RetryConfig, ShardClient, TcpConfig, TcpTransport, Transport,
+        PROTO_VERSION,
+    };
+    use std::net::SocketAddr;
     use std::time::Instant;
 
-    fn serve_loopback(
-        server: RefShardServer,
-        n_conns: usize,
-    ) -> (ea_comms::LoopbackHub, JoinHandle<Vec<JoinHandle<()>>>, Arc<RefShardServer>) {
-        let (hub, mut listener) = loopback_endpoint();
-        let server = Arc::new(server);
-        let srv = Arc::clone(&server);
-        let h = std::thread::spawn(move || {
-            srv.serve_connections(&mut listener, n_conns).expect("accept failed")
-        });
-        (hub, h, server)
+    /// Serves `server` on a reactor bound to an ephemeral loopback port.
+    fn serve_tcp(server: RefShardServer) -> (Reactor, Arc<RefShardServer>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let reactor = server.serve_reactor(listener, ReactorConfig::default()).unwrap();
+        (reactor, Arc::new(server))
     }
 
-    fn connect(hub: &ea_comms::LoopbackHub, pipe: usize) -> ShardClient {
-        ShardClient::handshake(Box::new(hub.connect().unwrap()), pipe, RetryConfig::default())
-            .unwrap()
+    fn raw(reactor: &Reactor) -> TcpTransport {
+        TcpTransport::connect(reactor.local_addr(), TcpConfig::default()).unwrap()
+    }
+
+    fn connect_to(addr: SocketAddr, pipe: usize) -> ShardClient {
+        let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
+        ShardClient::handshake(Box::new(conn), pipe, RetryConfig::default()).unwrap()
+    }
+
+    fn connect(reactor: &Reactor, pipe: usize) -> ShardClient {
+        connect_to(reactor.local_addr(), pipe)
     }
 
     #[test]
     fn handshake_reports_shard_topology() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0; 4], vec![0.0; 6]], 3);
-        let (hub, h, _server) = serve_loopback(server, 1);
-        let client = connect(&hub, 0);
+        let (reactor, _server) = serve_tcp(server);
+        let client = connect(&reactor, 0);
         assert_eq!(client.server_info().n_shards, 2);
         assert_eq!(client.server_info().n_pipelines, 3);
         drop(client);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
@@ -1115,9 +462,9 @@ mod tests {
         // it complete the lost rounds empty and resume at the boundary.
         let ckpt = RefCheckpoint::capture(3, vec![vec![5.0f32; 4]]);
         let server = RefShardServer::from_checkpoint(&ckpt, 2);
-        let (hub, h, server) = serve_loopback(server, 2);
-        let mut a = connect(&hub, 0);
-        let mut b = connect(&hub, 1);
+        let (reactor, server) = serve_tcp(server);
+        let mut a = connect(&reactor, 0);
+        let mut b = connect(&reactor, 1);
         a.heartbeat(6).unwrap();
         assert_eq!(server.shards()[0].version(), 3, "pipe 1 could still submit round 3");
         b.heartbeat(6).unwrap();
@@ -1130,23 +477,20 @@ mod tests {
         assert_eq!(b.pull(0, 7).unwrap(), vec![7.0; 4]);
         drop(a);
         drop(b);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
     fn two_clients_complete_a_round_through_the_server() {
         let server = RefShardServer::from_initial_weights(vec![vec![1.0, 1.0]], 2);
         let shards = server.shards().to_vec();
-        let (hub, h, _server) = serve_loopback(server, 2);
+        let (reactor, _server) = serve_tcp(server);
         let barrier = Arc::new(std::sync::Barrier::new(2));
         let workers: Vec<_> = (0..2)
             .map(|p| {
-                let hub_conn = connect(&hub, p);
+                let client = connect(&reactor, p);
                 let barrier = barrier.clone();
                 std::thread::spawn(move || {
-                    let mut c = hub_conn;
+                    let mut c = client;
                     let w = c.pull(0, 0).unwrap();
                     assert_eq!(w, vec![1.0, 1.0]);
                     barrier.wait();
@@ -1161,17 +505,14 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(shards[0].try_weights_at(1), Some(vec![4.0, 4.0]));
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
     fn retransmitted_submit_is_acked_as_duplicate_and_not_double_counted() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 1);
         let shards = server.shards().to_vec();
-        let (hub, h, _server) = serve_loopback(server, 1);
-        let mut raw = hub.connect().unwrap();
+        let (reactor, _server) = serve_tcp(server);
+        let mut raw = raw(&reactor);
         let hello = Message::Hello { proto: PROTO_VERSION as u16, pipe: 0, codec: Codec::F32 };
         raw.send(hello).unwrap();
         assert!(matches!(raw.recv().unwrap(), Message::HelloAck { .. }));
@@ -1185,9 +526,6 @@ mod tests {
         }
         assert_eq!(shards[0].try_weights_at(1), Some(vec![5.0]), "applied exactly once");
         drop(raw);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
@@ -1195,8 +533,8 @@ mod tests {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 1);
         let shards = server.shards().to_vec();
         shards[0].submit(0, vec![3.0]).unwrap();
-        let (hub, h, _server) = serve_loopback(server, 1);
-        let mut raw = hub.connect().unwrap();
+        let (reactor, _server) = serve_tcp(server);
+        let mut raw = raw(&reactor);
         raw.send(Message::PullRequest { shard: 0, version: 0 }).unwrap();
         match raw.recv().unwrap() {
             Message::PullReply { version, weights, .. } => {
@@ -1206,31 +544,25 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(raw);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
     fn protocol_violation_closes_the_connection_without_corrupting_state() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 2);
         let shards = server.shards().to_vec();
-        let (hub, h, server) = serve_loopback(server, 2);
+        let (reactor, server) = serve_tcp(server);
         // A bad peer submits a wrong-length delta, then a future round.
-        let mut bad = hub.connect().unwrap();
+        let mut bad = raw(&reactor);
         bad.send(Message::SubmitDelta { shard: 0, round: 0, pipe: 0, delta: vec![1.0; 9] })
             .unwrap();
         assert!(matches!(bad.recv(), Err(CommsError::Closed)), "server dropped the bad peer");
         // A well-behaved peer on a fresh connection is unaffected.
-        let mut good = connect(&hub, 0);
+        let mut good = connect(&reactor, 0);
         assert_eq!(good.pull(0, 0).unwrap(), vec![0.0]);
         good.submit(0, 0, vec![4.0]).unwrap();
         shards[0].submit(1, vec![0.0]).unwrap();
         assert_eq!(good.pull(0, 1).unwrap(), vec![2.0]);
         drop(good);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
         // The violation was counted, not swallowed.
         assert!(server.metrics().protocol_violations >= 1);
     }
@@ -1239,8 +571,8 @@ mod tests {
     fn heartbeat_round_info_and_latest_pull_are_served() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 2);
         let shards = server.shards().to_vec();
-        let (hub, h, server) = serve_loopback(server, 1);
-        let mut c = connect(&hub, 0);
+        let (reactor, server) = serve_tcp(server);
+        let mut c = connect(&reactor, 0);
         // Full quorum reported before any round.
         let q = c.heartbeat(0).unwrap();
         assert_eq!(q, QuorumInfo { round: 0, quorum: 2, members: 0b11 });
@@ -1256,9 +588,6 @@ mod tests {
         // ...and unknown rounds are reported as such, not invented.
         assert_eq!(c.round_info(0, 7).unwrap(), None);
         drop(c);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
         assert!(server.metrics().heartbeats >= 1);
     }
 
@@ -1273,9 +602,9 @@ mod tests {
             },
         );
         let shards = server.shards().to_vec();
-        let (hub, h, _server) = serve_loopback(server, 1);
+        let (reactor, _server) = serve_tcp(server);
         let mut c = ShardClient::handshake(
-            Box::new(hub.connect().unwrap()),
+            Box::new(raw(&reactor)),
             0,
             RetryConfig { reply_timeout: Duration::from_millis(80), max_attempts: 20 },
         )
@@ -1294,9 +623,6 @@ mod tests {
         assert_eq!(w, vec![3.0]);
         filler.join().unwrap();
         drop(c);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
@@ -1310,9 +636,8 @@ mod tests {
             },
         );
         let shards = server.shards().to_vec();
-        let (hub, listener) = loopback_endpoint();
-        let accept = server.serve_background(Box::new(listener));
-        let mut c = connect(&hub, 0);
+        let (reactor, server) = serve_tcp(server);
+        let mut c = connect(&reactor, 0);
         // Pipe 0 stays chatty; pipe 1 never speaks and gets reaped. The
         // lease expires (live_count drops) a beat before the reaper
         // mirrors the eviction into the shard quorum — wait for both.
@@ -1329,30 +654,26 @@ mod tests {
         assert_eq!(c.pull(0, 1).unwrap(), vec![6.0]);
         assert_eq!(shards[0].round_record(0).unwrap().quorum, 1);
         // ...and pipe 1 coming back readmits it into the next round.
-        let mut back = connect(&hub, 1);
+        let mut back = connect(&reactor, 1);
         let q = back.heartbeat(0).unwrap();
         assert_eq!(q.quorum, 2);
         assert!(shards[0].is_member(1));
         assert!(server.metrics().rejoins >= 1);
         drop(c);
         drop(back);
-        drop(hub); // closes the listener; the accept loop exits
-        accept.join().unwrap();
+        reactor.shutdown();
     }
 
     #[test]
     fn prometheus_dump_reflects_served_traffic() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 2);
-        let (hub, h, server) = serve_loopback(server, 1);
-        let mut c = connect(&hub, 0);
+        let (reactor, server) = serve_tcp(server);
+        let mut c = connect(&reactor, 0);
         let _ = c.heartbeat(0).unwrap();
         c.submit(0, 0, vec![1.0]).unwrap();
         server.shards()[0].submit(1, vec![1.0]).unwrap();
         assert_eq!(c.pull(0, 1).unwrap(), vec![1.0]);
         drop(c);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
         let text = server.render_prometheus();
         assert!(text.contains("ea_server_heartbeats_total 1\n"), "dump:\n{text}");
         assert!(text.contains("# TYPE ea_server_pull_us summary\n"), "dump:\n{text}");
@@ -1362,17 +683,14 @@ mod tests {
     #[test]
     fn metrics_message_reads_the_live_snapshot_remotely() {
         let server = RefShardServer::from_initial_weights(vec![vec![0.0]], 2);
-        let (hub, h, server) = serve_loopback(server, 1);
-        let mut c = connect(&hub, 0);
+        let (reactor, server) = serve_tcp(server);
+        let mut c = connect(&reactor, 0);
         let _ = c.heartbeat(0).unwrap();
         let _ = c.heartbeat(1).unwrap();
         let remote = crate::ServerMetricsSnapshot::from_wire(c.metrics().unwrap());
         assert_eq!(remote, server.metrics());
         assert_eq!(remote.heartbeats, 2);
         drop(c);
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
-        }
     }
 
     #[test]
@@ -1447,11 +765,11 @@ mod tests {
         let init: Vec<Vec<f32>> = make_stages().iter().map(|s| s.params_flat()).collect();
         let server = RefShardServer::from_initial_weights(init, n);
         let shards = server.shards().to_vec();
-        let (hub, h, _server) = serve_loopback(server, n);
+        let (reactor, _server) = serve_tcp(server);
         let rounds = 3u64;
         let workers: Vec<_> = (0..n)
             .map(|p| {
-                let client = connect(&hub, p);
+                let client = connect(&reactor, p);
                 let channel: Arc<dyn ShardChannel> =
                     Arc::new(RemoteShards::new(vec![client]).unwrap());
                 let stages = make_stages();
@@ -1483,9 +801,6 @@ mod tests {
         for (s, shard) in shards.iter().enumerate() {
             let remote = shard.try_weights_at(rounds).unwrap();
             assert_eq!(remote, local.reference(s), "stage {s} reference differs");
-        }
-        for conn in h.join().unwrap() {
-            conn.join().unwrap();
         }
     }
 }

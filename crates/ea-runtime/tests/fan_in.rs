@@ -40,7 +40,7 @@ fn sixty_four_tcp_workers_produce_byte_identical_reference() {
             reference.submit_at(round, pipe, delta(pipe, round)).unwrap();
         }
     }
-    let expected: Vec<Vec<f32>> = (0..=ROUNDS).map(|v| reference.weights_at_least(v).1).collect();
+    let expected = reference.weights_at(ROUNDS);
 
     // Reactor server on 2 event-loop threads.
     let server = RefShardServer::from_initial_weights(vec![init], WORKERS);
@@ -77,8 +77,7 @@ fn sixty_four_tcp_workers_produce_byte_identical_reference() {
     for (pipe, w) in workers.into_iter().enumerate() {
         let final_pull = w.join().unwrap_or_else(|_| panic!("worker {pipe} panicked"));
         assert_eq!(final_pull.len(), DIM);
-        for (i, (got, want)) in final_pull.iter().zip(expected[ROUNDS as usize].iter()).enumerate()
-        {
+        for (i, (got, want)) in final_pull.iter().zip(expected.iter()).enumerate() {
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -88,8 +87,8 @@ fn sixty_four_tcp_workers_produce_byte_identical_reference() {
     }
 
     // The server's own shard state is bit-identical to the replay.
-    let served = server.shards()[0].weights_at_least(ROUNDS).1;
-    for (i, (got, want)) in served.iter().zip(expected[ROUNDS as usize].iter()).enumerate() {
+    let served = server.shards()[0].weights_at(ROUNDS);
+    for (i, (got, want)) in served.iter().zip(expected.iter()).enumerate() {
         assert_eq!(got.to_bits(), want.to_bits(), "server shard differs at element {i}");
     }
 
@@ -129,15 +128,15 @@ fn intermediate_pulls_match_the_replay_bit_for_bit() {
     const N: usize = 8;
     let init = vec![-1.25f32; DIM];
 
-    // Snapshot the replay after every round: `weights_at_least` returns
-    // the *current* weights, so the history must be captured as it forms.
+    // Snapshot the replay after every round: a shard holds only its
+    // *current* weights, so the history must be captured as it forms.
     let reference = RefShard::new(init.clone(), N);
-    let mut expected: Vec<Vec<f32>> = vec![reference.weights_at_least(0).1];
+    let mut expected: Vec<Vec<f32>> = vec![reference.weights_at(0)];
     for round in 0..ROUNDS {
         for pipe in 0..N {
             reference.submit_at(round, pipe, delta(pipe, round)).unwrap();
         }
-        expected.push(reference.weights_at_least(round + 1).1);
+        expected.push(reference.weights_at(round + 1));
     }
 
     let server = RefShardServer::from_initial_weights(vec![init], N);
@@ -200,7 +199,7 @@ fn weight_subscription_pushes_round_boundaries_without_joining_lease() {
         for pipe in 0..N {
             reference.submit_at(round, pipe, delta(pipe, round)).unwrap();
         }
-        expected.push(reference.weights_at_least(round + 1).1);
+        expected.push(reference.weights_at(round + 1));
     }
 
     let server = RefShardServer::from_initial_weights(vec![init.clone()], N);

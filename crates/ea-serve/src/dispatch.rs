@@ -1,15 +1,15 @@
 //! Reactor frontend: one listener, one handler, two protocols.
 //!
 //! [`ServeDispatch`] composes the serving engine with ea-runtime's
-//! [`ReactorDispatch`], so a single reactor fleet multiplexes *both*
+//! [`ServerCore`], so a single reactor fleet multiplexes *both*
 //! populations the paper's deployment story implies: training pipelines
 //! speaking the elastic-averaging protocol (hello/pull/submit/
 //! heartbeat) and inference clients speaking the serving extension
 //! (`Infer`, `SubscribeWeights`). Routing is by message type —
 //! `Infer` goes to the [`ServeEngine`]'s admission queue; everything
 //! else (including weight subscriptions from *other* serving replicas)
-//! delegates to the trainer dispatch, sharing its shards, membership,
-//! and metrics.
+//! delegates to the trainer's server core, sharing its shards,
+//! membership, and metrics.
 //!
 //! Replies flow back asynchronously: the executor thread queues
 //! [`Completion`](crate::engine::Completion)s and pokes the reactor via
@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use ea_comms::reactor::{ConnId, DisconnectReason, Outbox, Reactor, ReactorConfig, ReactorHandler};
 use ea_comms::wire::Message;
-use ea_runtime::{ReactorDispatch, RefShardServer};
+use ea_runtime::{RefShardServer, ServerCore};
 
 use crate::batcher::Admission;
 use crate::engine::ServeEngine;
@@ -33,13 +33,13 @@ use crate::engine::ServeEngine;
 /// Composite handler: inference frontend + trainer protocol.
 pub struct ServeDispatch {
     engine: Arc<ServeEngine>,
-    trainer: Arc<ReactorDispatch>,
+    trainer: Arc<ServerCore>,
 }
 
 impl ServeDispatch {
     /// A dispatch routing `Infer` to `engine` and every other message
     /// to `trainer`.
-    pub fn new(engine: Arc<ServeEngine>, trainer: Arc<ReactorDispatch>) -> ServeDispatch {
+    pub fn new(engine: Arc<ServeEngine>, trainer: Arc<ServerCore>) -> ServeDispatch {
         ServeDispatch { engine, trainer }
     }
 
@@ -111,7 +111,7 @@ pub fn spawn_serving(
     engine: Arc<ServeEngine>,
     trainer: &RefShardServer,
 ) -> io::Result<Reactor> {
-    let dispatch = Arc::new(ServeDispatch::new(Arc::clone(&engine), trainer.dispatch()));
+    let dispatch = Arc::new(ServeDispatch::new(Arc::clone(&engine), Arc::clone(trainer.core())));
     let reactor = Reactor::spawn(listener, dispatch, cfg)?;
     let waker = reactor.waker();
     engine.set_waker(Box::new(move || waker.wake()));

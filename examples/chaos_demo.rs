@@ -1,11 +1,11 @@
 //! Single-process chaos tour of the fault-tolerance machinery.
 //!
-//! Four worker pipelines train against a fault-tolerant reference-shard
-//! server over the in-process loopback transport. Worker 3's connection
-//! is wrapped in [`FaultyTransport`] with a chaos schedule that kills the
-//! transport the moment it ships its round-3 delta — from the server's
-//! point of view the worker vanishes mid-round. The demo then narrates
-//! the recovery timeline the paper's elastic semantics allow:
+//! Four worker pipelines train over TCP against a fault-tolerant
+//! reference-shard server on the reactor. Worker 3 "crashes" after
+//! completing round `CRASH_AT - 1`: its thread ends and drops its
+//! connection, so from the server's point of view the worker vanishes
+//! before submitting round `CRASH_AT`. The demo then narrates the
+//! recovery timeline the paper's elastic semantics allow:
 //!
 //! 1. round 3 stalls on the dead worker; its lease expires → `EVICTED`
 //! 2. the stalled round completes **degraded** over the 3 survivors
@@ -19,11 +19,10 @@
 //! ```
 
 use avgpipe_suite::demo;
-use ea_comms::{
-    loopback_endpoint, ChaosConfig, FaultConfig, FaultyTransport, LoopbackHub, RemoteShards,
-    RetryConfig, ShardChannel, ShardClient,
-};
+use ea_comms::reactor::ReactorConfig;
+use ea_comms::{RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpTransport};
 use ea_runtime::{ElasticWorker, FtConfig, RefShardServer};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -31,28 +30,22 @@ use std::time::{Duration, Instant};
 const N: usize = 4;
 /// Rounds every surviving pipeline must complete.
 const ROUNDS: u64 = 12;
-/// The round at which worker 3's transport dies.
+/// The round worker 3 never submits: its thread ends just before it.
 const CRASH_AT: u64 = 3;
 
 fn alpha() -> f32 {
     1.0 / N as f32
 }
 
-/// No probabilistic faults — the chaos schedule is the whole story.
-fn quiet() -> FaultConfig {
-    FaultConfig { drop_prob: 0.0, delay_prob: 0.0, max_delay: Duration::ZERO, duplicate_prob: 0.0 }
-}
-
 fn retry() -> RetryConfig {
-    // The fault-tolerant server answers pulls within its bounded wait and
-    // leans on retransmission, so give clients a deep retry budget.
+    // The fault-tolerant server drops pulls parked past its bounded wait
+    // and leans on retransmission, so give clients a deep retry budget.
     RetryConfig { reply_timeout: Duration::from_millis(100), max_attempts: 100 }
 }
 
-fn connect(hub: &LoopbackHub, pipe: usize) -> Arc<dyn ShardChannel> {
-    let client =
-        ShardClient::handshake(Box::new(hub.connect().expect("loopback connect")), pipe, retry())
-            .expect("handshake");
+fn connect(addr: SocketAddr, pipe: usize) -> Arc<dyn ShardChannel> {
+    let conn = TcpTransport::connect(addr, TcpConfig::default()).expect("connect");
+    let client = ShardClient::handshake(Box::new(conn), pipe, retry()).expect("handshake");
     Arc::new(RemoteShards::new(vec![client]).expect("channel"))
 }
 
@@ -79,14 +72,15 @@ fn main() {
             pull_wait: Duration::from_millis(60),
             checkpoint: None,
         });
-    let (hub, listener) = loopback_endpoint();
-    let _accept = server.serve_background(Box::new(listener));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("reactor");
+    let addr = reactor.local_addr();
     println!("[chaos] serving {N} pipelines, lease 250ms; worker 3 crashes at round {CRASH_AT}");
 
     // Three healthy workers run all rounds; worker 0 narrates its losses.
     let mut handles = Vec::new();
     for p in 0..N - 1 {
-        let channel = connect(&hub, p);
+        let channel = connect(addr, p);
         handles.push(std::thread::spawn(move || {
             let task = demo::task();
             let mut w = new_worker(p, channel);
@@ -102,31 +96,19 @@ fn main() {
         }));
     }
 
-    // Worker 3: chaos transport that dies permanently at round CRASH_AT.
+    // Worker 3 completes rounds 0..CRASH_AT, then its thread ends: the
+    // channel drops, the connection closes, and its lease runs out.
     let doomed = {
-        let conn = FaultyTransport::with_chaos(
-            hub.connect().expect("loopback connect"),
-            quiet(),
-            ChaosConfig::crash_at(CRASH_AT),
-            0xC4A05,
-        );
-        let client =
-            ShardClient::handshake(Box::new(conn), N - 1, retry()).expect("doomed handshake");
-        let channel: Arc<dyn ShardChannel> =
-            Arc::new(RemoteShards::new(vec![client]).expect("channel"));
+        let channel = connect(addr, N - 1);
         std::thread::spawn(move || {
             let task = demo::task();
             let mut w = new_worker(N - 1, channel);
-            loop {
+            while w.rounds_done() < CRASH_AT {
                 let r = w.rounds_done();
-                match w.round(&batch_for(&task, r, N - 1)) {
-                    Ok(loss) => println!("[worker 3] round {r}: loss {loss:.6}"),
-                    Err(e) => {
-                        println!("[worker 3] CRASHED at round {r} ({e:?}) — going silent");
-                        return;
-                    }
-                }
+                let loss = w.round(&batch_for(&task, r, N - 1)).expect("pre-crash round failed");
+                println!("[worker 3] round {r}: loss {loss:.6}");
             }
+            println!("[worker 3] CRASHED before round {CRASH_AT} — going silent");
         })
     };
 
@@ -155,7 +137,7 @@ fn main() {
             last_live = live;
         }
         if rejoiner.is_none() && m.evictions >= 1 {
-            let channel = connect(&hub, N - 1);
+            let channel = connect(addr, N - 1);
             rejoiner = Some(std::thread::spawn(move || {
                 let task = demo::task();
                 let mut w = new_worker(N - 1, channel);

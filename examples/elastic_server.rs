@@ -1,12 +1,13 @@
 //! Reference-shard server for the two-process elastic-averaging demo.
 //!
-//! Hosts the per-stage reference shards behind the TCP transport and
-//! serves the configured number of worker pipelines until they finish and
-//! disconnect, then prints a bit-exact checksum of the final reference
-//! weights for each stage (the workers print the same checksums, so a
-//! byte-level comparison across processes is a `grep` away).
+//! Hosts the per-stage reference shards on the epoll reactor and serves
+//! worker pipelines until every shard has completed `--rounds` rounds and
+//! the workers have disconnected, then prints a bit-exact checksum of the
+//! final reference weights for each stage (the workers print the same
+//! checksums, so a byte-level comparison across processes is a `grep`
+//! away).
 //!
-//! With `--fault-tolerant` the server instead runs the membership/lease
+//! With `--fault-tolerant` the server also runs the membership/lease
 //! protocol: workers that go silent past the lease are evicted and
 //! stalled rounds complete degraded over the survivors; a restarted
 //! worker rejoins at the next round boundary. `--checkpoint PATH` adds
@@ -30,8 +31,9 @@
 //! ```
 
 use avgpipe_suite::demo;
-use ea_comms::{TcpConfig, TcpServer};
+use ea_comms::reactor::ReactorConfig;
 use ea_runtime::{FtConfig, RefCheckpoint, RefShardServer};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -121,7 +123,7 @@ fn main() {
     // are a restarted server — reload the reference shards and resume at
     // the recorded round instead of re-initializing. The checkpoint
     // carries the shard map, so a slice server restores its own slice.
-    let server = match checkpoint.as_deref().filter(|p| p.exists()) {
+    let mut server = match checkpoint.as_deref().filter(|p| p.exists()) {
         Some(path) => {
             let ckpt = RefCheckpoint::load(path).expect("load reference checkpoint");
             println!("RESTORED round={}", ckpt.round);
@@ -133,8 +135,18 @@ fn main() {
         }
     };
 
-    let mut listener = TcpServer::bind(&addr, TcpConfig::default()).expect("bind the demo address");
-    let addr = listener.local_addr().expect("local addr");
+    if fault_tolerant {
+        let lease = Duration::from_millis(lease_ms);
+        server = server.with_fault_tolerance(FtConfig {
+            lease,
+            reap_interval: lease / 4,
+            pull_wait: lease / 8,
+            checkpoint: checkpoint.clone().map(|p| (p, lease / 4)),
+        });
+    }
+    let listener = TcpListener::bind(&addr).expect("bind the demo address");
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("start reactor");
+    let addr = reactor.local_addr();
 
     // Fleet observability: keep a flight-recorder window (dumped on
     // SIGUSR1 or a runtime anomaly) and stream this process's trace
@@ -151,53 +163,32 @@ fn main() {
         ea_ops::OpsPusher::spawn(collector, cfg).expect("connect to ops collector")
     });
 
-    if fault_tolerant {
-        let lease = Duration::from_millis(lease_ms);
-        let cfg = FtConfig {
-            lease,
-            reap_interval: lease / 4,
-            pull_wait: lease / 8,
-            checkpoint: checkpoint.clone().map(|p| (p, lease / 4)),
-        };
-        let server = server.with_fault_tolerance(cfg);
-        // The workers (and the CI smoke test) wait for this line.
-        println!("LISTENING {addr} shards={base}..{end}/{total} codec={codec}");
-        let _accept = server.serve_background(Box::new(listener));
+    // The workers (and the CI smoke tests) wait for this line.
+    println!("LISTENING {addr} shards={base}..{end}/{total} codec={codec}");
 
-        // Workers connect, crash, and reconnect in any order; the server
-        // is done once every shard has advanced past the target round.
-        loop {
-            let done = server.shards().iter().all(|s| s.version() >= rounds);
-            if done {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        let m = server.metrics();
-        println!(
-            "METRICS evictions={} rejoins={} degraded_rounds={} heartbeats={} \
-             checkpoints_saved={} disconnects={} protocol_violations={} crc_failures={}",
-            m.evictions,
-            m.rejoins,
-            m.degraded_rounds,
-            m.heartbeats,
-            m.checkpoints_saved,
-            m.disconnects,
-            m.protocol_violations,
-            m.crc_failures,
-        );
-        println!("QUORUM live={}/{n}", server.live_count());
-        print_checksums(&server, base);
-        println!("SERVER DONE after {rounds} rounds");
-    } else {
-        println!("LISTENING {addr} shards={base}..{end}/{total} codec={codec}");
-        let conns = server.serve_connections(&mut listener, n).expect("accept workers");
-        for conn in conns {
-            conn.join().expect("connection thread panicked");
-        }
-        print_checksums(&server, base);
-        println!("SERVER DONE after {rounds} rounds");
+    // Workers connect, crash, and reconnect in any order. The server is
+    // done once every shard has completed the target round and every
+    // worker has hung up — so the workers' final reference pulls are
+    // answered before it exits.
+    while server.shards().iter().any(|s| s.version() < rounds) || reactor.live_connections() > 0 {
+        std::thread::sleep(Duration::from_millis(20));
     }
+    let m = server.metrics();
+    println!(
+        "METRICS evictions={} rejoins={} degraded_rounds={} heartbeats={} \
+         checkpoints_saved={} disconnects={} protocol_violations={} crc_failures={}",
+        m.evictions,
+        m.rejoins,
+        m.degraded_rounds,
+        m.heartbeats,
+        m.checkpoints_saved,
+        m.disconnects,
+        m.protocol_violations,
+        m.crc_failures,
+    );
+    println!("QUORUM live={}/{n}", server.live_count());
+    print_checksums(&server, base);
+    println!("SERVER DONE after {rounds} rounds");
 }
 
 fn print_checksums(server: &RefShardServer, base: usize) {

@@ -11,8 +11,9 @@
 #
 #   ea-comms/src/clock.rs        the abstraction itself
 #   ea-comms/src/conn.rs         socket idle bookkeeping (kernel-adjacent)
-#   */reactor_*.rs               epoll reactors: poll timeouts and parked
-#                                deadlines are tied to real epoll_wait
+#   ea-comms/src/reactor_*.rs    ea-comms's OS-real event loops (epoll and
+#                                its thread-per-connection fallback): poll
+#                                timeouts are tied to real epoll_wait
 #
 # Usage: scripts/clock_lint.sh [repo-root]
 
@@ -23,6 +24,7 @@ root="${1:-$(cd "$(dirname "$0")/.." && pwd)}"
 protocol_files=(
   crates/ea-runtime/src/membership.rs
   crates/ea-runtime/src/server.rs
+  crates/ea-runtime/src/server_core.rs
   crates/ea-runtime/src/elastic.rs
   crates/ea-runtime/src/supervisor.rs
   crates/ea-runtime/src/checkpoint.rs

@@ -67,11 +67,11 @@ wait_for_line "$LOGDIR/collector.log" "listening on"
 
 echo "== starting 2 shard servers with collection on =="
 EA_TRACE=spans "$SERVER" --addr "$ADDR0" --shards 2 --shard-index 0 \
-  --pipelines "$PIPELINES" --ops-push "$COLLECTOR_ADDR" \
+  --pipelines "$PIPELINES" --rounds "$ROUNDS" --ops-push "$COLLECTOR_ADDR" \
   > "$LOGDIR/server0.log" 2>&1 &
 S0_PID=$!
 EA_TRACE=spans "$SERVER" --addr "$ADDR1" --shards 2 --shard-index 1 \
-  --pipelines "$PIPELINES" --ops-push "$COLLECTOR_ADDR" \
+  --pipelines "$PIPELINES" --rounds "$ROUNDS" --ops-push "$COLLECTOR_ADDR" \
   > "$LOGDIR/server1.log" 2>&1 &
 S1_PID=$!
 wait_for_line "$LOGDIR/server0.log" "LISTENING"

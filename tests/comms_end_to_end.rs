@@ -1,17 +1,20 @@
 //! End-to-end tests for the transport-backed elastic trainer: the same
-//! training loop over the in-process shards, the loopback backend, the
-//! TCP backend, and the fault-injected TCP backend must all produce
-//! byte-identical losses and reference weights.
+//! training loop over the in-process shards and over TCP to the reactor
+//! server on the loopback interface — with one and with two event-loop
+//! threads, and with faults injected into both directions of every
+//! connection — must produce byte-identical losses and reference weights.
 
 use avgpipe_suite::demo;
+use ea_comms::reactor::{Reactor, ReactorConfig};
 use ea_comms::{
-    loopback_endpoint, FaultConfig, FaultyTransport, Listener, RemoteShards, RetryConfig,
-    ShardChannel, ShardClient, TcpConfig, TcpServer, TcpTransport,
+    FaultConfig, FaultyTransport, RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig,
+    TcpTransport, Transport,
 };
 use ea_data::Batch;
 use ea_models::gnmt_analogue;
 use ea_runtime::{ElasticTrainer, RefShardServer};
 use ea_tensor::TensorRng;
+use std::net::TcpListener;
 use std::sync::Arc;
 
 /// Builds the demo trainer over an arbitrary shard channel.
@@ -37,6 +40,31 @@ fn run(trainer: &mut ElasticTrainer, rounds: u64) -> (Vec<f32>, Vec<Vec<f32>>) {
     (losses, refs)
 }
 
+/// Serves the demo's initial reference on a reactor with `threads`
+/// event loops, bound to an ephemeral loopback port.
+fn serve(threads: usize) -> (RefShardServer, Reactor) {
+    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let reactor = server.serve_reactor(listener, ReactorConfig { threads, ..Default::default() });
+    (server, reactor.unwrap())
+}
+
+/// A trainer whose pipelines each reach the server over their own
+/// connection, built by `wrap` from a fresh TCP stream.
+fn remote_trainer(
+    reactor: &Reactor,
+    retry: RetryConfig,
+    wrap: impl Fn(usize, TcpTransport) -> Box<dyn Transport>,
+) -> ElasticTrainer {
+    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
+        .map(|p| {
+            let conn = TcpTransport::connect(reactor.local_addr(), TcpConfig::default()).unwrap();
+            ShardClient::handshake(wrap(p, conn), p, retry).unwrap()
+        })
+        .collect();
+    trainer_with(Arc::new(RemoteShards::new(clients).unwrap()))
+}
+
 fn run_local(rounds: u64) -> (Vec<f32>, Vec<Vec<f32>>) {
     run(&mut demo::local_trainer(), rounds)
 }
@@ -54,70 +82,40 @@ fn assert_identical(
     }
 }
 
+/// Two event loops: the pipelines' connections land on different reactor
+/// threads, so parked pulls are answered across threads.
 #[test]
 fn loopback_training_is_byte_identical_to_in_process() {
     let rounds = 4;
-    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let (hub, mut listener) = loopback_endpoint();
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
-        .map(|p| {
-            let conn = hub.connect().unwrap();
-            // Service threads exit when their client disconnects.
-            let _detached = server.spawn_conn(listener.accept().unwrap());
-            ShardClient::handshake(Box::new(conn), p, RetryConfig::default()).unwrap()
-        })
-        .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
-    let result = run(&mut trainer_with(channel), rounds);
-    assert_identical(result, run_local(rounds));
+    let (_server, reactor) = serve(2);
+    let mut trainer = remote_trainer(&reactor, RetryConfig::default(), |_, conn| Box::new(conn));
+    assert_identical(run(&mut trainer, rounds), run_local(rounds));
 }
 
 #[test]
 fn tcp_training_is_byte_identical_to_in_process() {
     let rounds = 4;
-    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let mut listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
-        .map(|p| {
-            let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
-            let _detached = server.spawn_conn(listener.accept().unwrap());
-            ShardClient::handshake(Box::new(conn), p, RetryConfig::default()).unwrap()
-        })
-        .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
-    let result = run(&mut trainer_with(channel), rounds);
-    assert_identical(result, run_local(rounds));
+    let (_server, reactor) = serve(1);
+    let mut trainer = remote_trainer(&reactor, RetryConfig::default(), |_, conn| Box::new(conn));
+    assert_identical(run(&mut trainer, rounds), run_local(rounds));
 }
 
 /// The acceptance test of the fault-injection shim: 10% drop, 10% delay,
-/// 10% duplicate on *both* sides of every connection, and training still
-/// produces bit-for-bit the in-process result — retries make delivery
-/// at-least-once, idempotent submissions make it effectively exactly-once.
+/// 10% duplicate on *both* directions of every connection, and training
+/// still produces bit-for-bit the in-process result — retries make
+/// delivery at-least-once, idempotent submissions make it effectively
+/// exactly-once.
 #[test]
 fn faulty_tcp_training_is_byte_identical_at_ten_percent_loss() {
     let rounds = 3;
-    let server = RefShardServer::from_initial_weights(demo::initial_reference(), demo::N_PIPELINES);
-    let mut listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).unwrap();
-    let addr = listener.local_addr().unwrap();
+    let (_server, reactor) = serve(1);
     // Tight reply timeout so dropped messages retransmit quickly.
     let retry =
         RetryConfig { reply_timeout: std::time::Duration::from_millis(100), max_attempts: 30 };
-    let clients: Vec<ShardClient> = (0..demo::N_PIPELINES)
-        .map(|p| {
-            let conn = TcpTransport::connect(addr, TcpConfig::default()).unwrap();
-            let faulty = FaultyTransport::new(conn, FaultConfig::lossy_10(), 100 + p as u64);
-            // The server's side of this connection injects faults too.
-            let server_conn = FaultyTransport::new(
-                listener.accept().unwrap(),
-                FaultConfig::lossy_10(),
-                200 + p as u64,
-            );
-            let _detached = server.spawn_conn(Box::new(server_conn));
-            ShardClient::handshake(Box::new(faulty), p, retry).unwrap()
-        })
-        .collect();
-    let channel: Arc<dyn ShardChannel> = Arc::new(RemoteShards::new(clients).unwrap());
-    let result = run(&mut trainer_with(channel), rounds);
-    assert_identical(result, run_local(rounds));
+    // Requests and replies alike are dropped, delayed and duplicated:
+    // the shim injects faults on receive as well as on send.
+    let mut trainer = remote_trainer(&reactor, retry, |p, conn| {
+        Box::new(FaultyTransport::new(conn, FaultConfig::lossy_10(), 100 + p as u64))
+    });
+    assert_identical(run(&mut trainer, rounds), run_local(rounds));
 }

@@ -3,17 +3,18 @@
 //!
 //! These run the real TCP transport with a four-pipeline ensemble, so
 //! they exercise the full stack the chaos demo narrates: membership
-//! leases, the reaper, bounded pull waits with client retransmission,
-//! per-round membership records, and atomic reference checkpoints.
+//! leases, the reaper, parked pulls with bounded waits and client
+//! retransmission, per-round membership records, and atomic reference
+//! checkpoints.
 
 use avgpipe_suite::demo;
-use ea_comms::{
-    RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpServer, TcpTransport,
-};
+use ea_comms::reactor::{Reactor, ReactorConfig};
+use ea_comms::{RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpTransport};
 use ea_data::{Batch, SyntheticTask};
 use ea_models::gnmt_analogue;
 use ea_runtime::{ElasticTrainer, ElasticWorker, FtConfig, RefCheckpoint, RefShardServer};
 use ea_tensor::TensorRng;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -27,10 +28,19 @@ fn alpha() -> f32 {
     1.0 / N as f32
 }
 
-/// Deep retry budget: the fault-tolerant server answers pulls within its
-/// bounded wait and relies on retransmission while rounds stall.
+/// Deep retry budget: the fault-tolerant server drops pulls parked past
+/// its bounded wait and relies on retransmission while rounds stall.
 fn retry() -> RetryConfig {
     RetryConfig { reply_timeout: Duration::from_millis(100), max_attempts: 200 }
+}
+
+/// Serves `server` on a reactor bound to an ephemeral loopback port;
+/// returns the reactor and its address.
+fn serve(server: &RefShardServer) -> (Reactor, String) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("reactor");
+    let addr = reactor.local_addr().to_string();
+    (reactor, addr)
 }
 
 fn connect(addr: &str, pipe: usize) -> Arc<dyn ShardChannel> {
@@ -89,9 +99,7 @@ fn crashed_worker_is_evicted_survivors_degrade_and_a_restart_rejoins() {
             },
         ),
     );
-    let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-    let addr = listener.local_addr().expect("local addr").to_string();
-    let _accept = server.serve_background(Box::new(listener));
+    let (_reactor, addr) = serve(&server);
 
     // Three survivors run all rounds; their pulls stall while round 4 is
     // missing pipe 3's delta and resume once the reaper completes it
@@ -223,9 +231,8 @@ fn server_kill_and_restart_restores_from_checkpoint_and_resumes() {
                     checkpoint: Some((ckpt_path.clone(), Duration::from_millis(40))),
                 }),
         );
-        let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-        addr1 = listener.local_addr().expect("local addr").to_string();
-        let _accept = server.serve_background(Box::new(listener));
+        let (_reactor, addr) = serve(&server);
+        addr1 = addr;
 
         let workers: Vec<_> = (0..n)
             .map(|p| {
@@ -269,9 +276,7 @@ fn server_kill_and_restart_restores_from_checkpoint_and_resumes() {
         assert_eq!(&shard.snapshot(), saved, "restored weights differ from the checkpoint");
     }
 
-    let listener = TcpServer::bind("127.0.0.1:0", TcpConfig::default()).expect("bind");
-    let addr2 = listener.local_addr().expect("local addr").to_string();
-    let _accept = server.serve_background(Box::new(listener));
+    let (_reactor, addr2) = serve(&server);
 
     // Rejoining workers resync to the restored round and train on.
     let workers: Vec<_> = (0..n)

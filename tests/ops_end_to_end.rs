@@ -51,6 +51,8 @@ fn spawn_server(shard_index: usize, collector: &str) -> (Child, String) {
             &shard_index.to_string(),
             "--pipelines",
             &PIPELINES.to_string(),
+            "--rounds",
+            &ROUNDS.to_string(),
             "--ops-push",
             collector,
         ])

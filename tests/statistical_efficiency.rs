@@ -5,15 +5,18 @@
 //! and the worker's error-feedback accumulator re-injects each round's
 //! quantization residual into the next submission, so the *accumulated*
 //! update stream is unbiased. This test runs the real worker/server path
-//! (loopback transport, negotiated codec, server-side decode, worker-side
+//! (TCP to the reactor server on 127.0.0.1, negotiated codec, server-side decode, worker-side
 //! error feedback) for every codec and asserts the lossy wires reach the
 //! f32 run's target loss within 10% extra rounds.
 
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use avgpipe_suite::demo;
-use ea_comms::{loopback_endpoint, Codec, RemoteShards, RetryConfig, ShardChannel, ShardClient};
+use ea_comms::reactor::ReactorConfig;
+use ea_comms::{
+    Codec, RemoteShards, RetryConfig, ShardChannel, ShardClient, TcpConfig, TcpTransport,
+};
 use ea_runtime::{ElasticWorker, RefShardServer};
 
 const ROUNDS: usize = 40;
@@ -23,15 +26,13 @@ const ROUNDS: usize = 40;
 fn losses_with_codec(codec: Codec) -> Vec<f32> {
     let n = demo::N_PIPELINES;
     let server = RefShardServer::from_initial_weights(demo::initial_reference(), n);
-    let (hub, mut listener) = loopback_endpoint();
-    let accept: JoinHandle<_> = {
-        let server = Arc::new(server);
-        std::thread::spawn(move || server.serve_connections(&mut listener, n).expect("accept"))
-    };
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let reactor = server.serve_reactor(listener, ReactorConfig::default()).expect("reactor");
 
     let workers: Vec<_> = (0..n)
         .map(|pipe| {
-            let conn = hub.connect().expect("loopback connect");
+            let conn =
+                TcpTransport::connect(reactor.local_addr(), TcpConfig::default()).expect("connect");
             std::thread::spawn(move || {
                 let client = ShardClient::handshake_with_codec(
                     Box::new(conn),
@@ -60,9 +61,6 @@ fn losses_with_codec(codec: Codec) -> Vec<f32> {
         .collect();
 
     let per_worker: Vec<Vec<f32>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
-    for conn in accept.join().unwrap() {
-        conn.join().unwrap();
-    }
     (0..ROUNDS).map(|r| per_worker.iter().map(|l| l[r]).sum::<f32>() / n as f32).collect()
 }
 
