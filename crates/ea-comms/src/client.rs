@@ -324,18 +324,9 @@ fn request(
             }
             match conn.recv_timeout(deadline - now) {
                 Ok(reply) if matches(&reply) => return Ok(reply),
-                Ok(stale) => {
-                    // A reply to an earlier retransmission of a *previous*
-                    // request; recycle any bulk payload and keep waiting.
-                    match stale {
-                        Message::PullReply { weights, .. } => ea_tensor::pool::recycle(weights),
-                        Message::SubmitDelta { delta, .. } => ea_tensor::pool::recycle(delta),
-                        Message::PullReplyC { blob, .. }
-                        | Message::WeightsUpdateC { blob, .. }
-                        | Message::SubmitDeltaC { blob, .. } => crate::bytepool::recycle(blob),
-                        _ => {}
-                    }
-                }
+                // A reply to an earlier retransmission of a *previous*
+                // request; recycle any bulk payload and keep waiting.
+                Ok(stale) => stale.recycle(),
                 Err(CommsError::Timeout) => break,
                 Err(e) => return Err(e),
             }

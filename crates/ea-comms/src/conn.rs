@@ -132,13 +132,9 @@ impl Conn {
                             Err(e) => return Err(DisconnectReason::Io(e)),
                         }
                     }
-                    let len = self.body.len() - 4;
-                    let expected = u32::from_le_bytes(self.body[len..].try_into().unwrap());
-                    let got = frame::crc32(&self.body[..len]);
-                    if expected != got {
-                        return Err(DisconnectReason::Frame(FrameError::BadCrc { expected, got }));
-                    }
-                    let msg = Message::decode_payload(msg_type, &self.body[..len])
+                    let payload = frame::check_body(&self.body).map_err(DisconnectReason::Frame)?;
+                    let len = payload.len();
+                    let msg = Message::decode_payload(msg_type, payload)
                         .map_err(DisconnectReason::Frame)?;
                     bytepool::recycle(std::mem::take(&mut self.body));
                     self.phase = Phase::Header;
@@ -155,25 +151,12 @@ impl Conn {
         }
     }
 
-    /// Encodes `msg` into a pooled frame buffer and queues it. Large
-    /// payload vectors (weights, deltas) are recycled to the tensor pool
-    /// once serialized, mirroring `TcpTransport::send`.
-    pub(crate) fn enqueue(&mut self, msg: Message, payload_scratch: &mut Vec<u8>) {
-        msg.encode_payload(payload_scratch);
+    /// Encodes `msg` into a pooled frame buffer and queues it; the
+    /// message's large buffers go back to their pools.
+    pub(crate) fn enqueue(&mut self, msg: Message) {
         let ty = msg.wire_type();
         let logical = msg.logical_weight_bytes() as u64;
-        match msg {
-            Message::PullReply { weights, .. }
-            | Message::WeightsUpdate { weights, .. }
-            | Message::InferReply { output: weights, .. } => ea_tensor::pool::recycle(weights),
-            Message::SubmitDelta { delta, .. } => ea_tensor::pool::recycle(delta),
-            Message::SubmitDeltaC { blob, .. }
-            | Message::PullReplyC { blob, .. }
-            | Message::WeightsUpdateC { blob, .. } => bytepool::recycle(blob),
-            _ => {}
-        }
-        let mut buf = bytepool::take_empty(HEADER_LEN + payload_scratch.len() + 4);
-        frame::encode_frame(ty, payload_scratch, &mut buf);
+        let buf = frame::encode_message(msg);
         crate::trace::counters().on_send_msg(ty, buf.len() as u64, logical);
         self.out_bytes += buf.len();
         self.outq.push_back(buf);
@@ -314,13 +297,37 @@ mod tests {
     }
 
     #[test]
+    fn one_flipped_bit_in_blocks_or_tail_is_bad_crc() {
+        for bad in frame::tests::frames_with_one_flipped_bit() {
+            let (mut client, server) = pair();
+            server.set_nonblocking(true).unwrap();
+            let mut conn = Conn::new(server, 0);
+            // The frame outgrows the socket buffer: write it from another
+            // thread while this one drains it.
+            let writer = std::thread::spawn(move || {
+                use std::io::Write;
+                client.write_all(&bad).unwrap();
+                client
+            });
+            let deadline = Instant::now() + std::time::Duration::from_secs(5);
+            loop {
+                match conn.read_message() {
+                    Err(DisconnectReason::Frame(FrameError::BadCrc { .. })) => break,
+                    Ok(None) if Instant::now() < deadline => continue,
+                    other => panic!("expected BadCrc, got {other:?}"),
+                }
+            }
+            drop(writer.join().unwrap());
+        }
+    }
+
+    #[test]
     fn flush_tracks_partial_writes_and_drains() {
         let (client, server) = pair();
         server.set_nonblocking(true).unwrap();
         let mut conn = Conn::new(server, 0);
-        let mut scratch = Vec::new();
         for round in 0..3 {
-            conn.enqueue(Message::Ack { shard: 0, round, pipe: 0, duplicate: false }, &mut scratch);
+            conn.enqueue(Message::Ack { shard: 0, round, pipe: 0, duplicate: false });
         }
         let queued = conn.queued_bytes();
         assert!(queued > 0);

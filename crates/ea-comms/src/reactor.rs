@@ -266,19 +266,6 @@ pub(crate) fn resolve_threads(requested: usize) -> usize {
         .min(64)
 }
 
-/// Returns a message's large payload buffers to the tensor pool when the
-/// message will never be sent (stale target, shutdown).
-pub(crate) fn recycle_message(msg: Message) {
-    match msg {
-        Message::PullReply { weights, .. } => ea_tensor::pool::recycle(weights),
-        Message::SubmitDelta { delta, .. } => ea_tensor::pool::recycle(delta),
-        Message::Infer { input, .. } => ea_tensor::pool::recycle(input),
-        Message::InferReply { output, .. } => ea_tensor::pool::recycle(output),
-        Message::WeightsUpdate { weights, .. } => ea_tensor::pool::recycle(weights),
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod unit_tests {
     use super::*;

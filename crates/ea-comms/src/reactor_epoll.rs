@@ -28,8 +28,7 @@ use std::time::{Duration, Instant};
 use ea_trace::{Category, StaticName};
 
 use super::{
-    recycle_message, resolve_threads, ConnId, DisconnectReason, Outbox, ReactorConfig,
-    ReactorHandler, GEN_MASK,
+    resolve_threads, ConnId, DisconnectReason, Outbox, ReactorConfig, ReactorHandler, GEN_MASK,
 };
 use crate::conn::Conn;
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
@@ -104,7 +103,7 @@ impl Shared {
             if t < n {
                 self.threads[t].inbox.lock().expect("reactor inbox poisoned").sends.push((to, msg));
             } else {
-                recycle_message(msg);
+                msg.recycle();
             }
         }
         for (to, why) in outbox.closes.drain(..) {
@@ -339,8 +338,6 @@ struct Worker {
     /// events and stale `ConnId`s are detected.
     gens: Vec<u32>,
     wheel: TimerWheel,
-    /// Reusable payload-encode scratch for outbound frames.
-    scratch: Vec<u8>,
     /// Reusable handler outbox.
     outbox: Outbox,
     /// Reusable timer-wheel drain buffer.
@@ -370,7 +367,6 @@ impl Worker {
             free: Vec::new(),
             gens: Vec::new(),
             wheel,
-            scratch: Vec::new(),
             outbox: Outbox::default(),
             due: Vec::new(),
         }
@@ -599,7 +595,7 @@ impl Worker {
                     .push((to, msg));
                 woke[t] = true;
             } else {
-                recycle_message(msg);
+                msg.recycle();
             }
         }
         for (to, why) in outbox.closes.drain(..) {
@@ -629,11 +625,11 @@ impl Worker {
     /// an eager flush and backpressure bookkeeping.
     fn local_send(&mut self, to: ConnId, msg: Message) {
         let Some(slot) = self.live_slot(to) else {
-            recycle_message(msg);
+            msg.recycle();
             return;
         };
         let conn = self.slab[slot].as_mut().unwrap();
-        conn.enqueue(msg, &mut self.scratch);
+        conn.enqueue(msg);
         let flushed = {
             let _span = ea_trace::span(&FLUSH_SPAN, Category::Comm);
             conn.flush()

@@ -19,9 +19,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use super::{
-    recycle_message, resolve_threads, ConnId, DisconnectReason, Outbox, ReactorConfig,
-    ReactorHandler, GEN_MASK,
+    resolve_threads, ConnId, DisconnectReason, Outbox, ReactorConfig, ReactorHandler, GEN_MASK,
 };
+use crate::bytepool;
 use crate::frame;
 use crate::wire::Message;
 
@@ -73,7 +73,7 @@ impl Shared {
                     let queued = entry.queued_bytes.load(Ordering::Relaxed);
                     if queued > self.max_outbound_bytes {
                         let _ = entry.stream.shutdown(SockShutdown::Both);
-                        recycle_message(msg);
+                        msg.recycle();
                         continue;
                     }
                     entry.inflight.fetch_add(1, Ordering::SeqCst);
@@ -82,7 +82,7 @@ impl Shared {
                         entry.inflight.fetch_sub(1, Ordering::SeqCst);
                     }
                 }
-                None => recycle_message(msg),
+                None => msg.recycle(),
             }
         }
         for (to, _why) in outbox.closes.drain(..) {
@@ -326,24 +326,22 @@ fn start_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let winflight = Arc::clone(&inflight);
     let writer = std::thread::Builder::new().name("ea-reactor-writer".into()).spawn(move || {
         let mut stream = write_stream;
-        let mut scratch = Vec::new();
-        let mut wire = Vec::new();
         while let Ok(cmd) = rx.recv() {
             match cmd {
                 WriteCmd::Frame(msg) => {
-                    msg.encode_payload(&mut scratch);
                     let ty = msg.wire_type();
                     let logical = msg.logical_weight_bytes() as u64;
-                    recycle_message(msg);
-                    frame::encode_frame(ty, &scratch, &mut wire);
-                    wq.fetch_add(wire.len(), Ordering::Relaxed);
+                    let wire = frame::encode_message(msg);
+                    let len = wire.len();
+                    wq.fetch_add(len, Ordering::Relaxed);
                     let ok = std::io::Write::write_all(&mut stream, &wire).is_ok();
-                    wq.fetch_sub(wire.len().min(wq.load(Ordering::Relaxed)), Ordering::Relaxed);
+                    bytepool::recycle(wire);
+                    wq.fetch_sub(len.min(wq.load(Ordering::Relaxed)), Ordering::Relaxed);
                     winflight.fetch_sub(1, Ordering::SeqCst);
                     if !ok {
                         break;
                     }
-                    crate::trace::counters().on_send_msg(ty, wire.len() as u64, logical);
+                    crate::trace::counters().on_send_msg(ty, len as u64, logical);
                 }
                 WriteCmd::Close => {
                     let _ = stream.shutdown(SockShutdown::Both);
@@ -394,6 +392,7 @@ fn read_loop(
                     (frame::HEADER_LEN + payload.len() + 4) as u64,
                     msg.logical_weight_bytes() as u64,
                 );
+                bytepool::recycle(payload);
                 *last_activity.lock().expect("activity poisoned") = Instant::now();
                 let mut outbox = Outbox::default();
                 shared.handler.on_message(id, msg, &mut outbox);

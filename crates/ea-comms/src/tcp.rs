@@ -7,7 +7,8 @@
 //! connection — the protocol is strictly request/reply per pipeline, so
 //! Nagle batching only adds round latency.
 
-use crate::frame::{read_frame, write_frame};
+use crate::bytepool;
+use crate::frame::{encode_message, read_frame};
 use crate::transport::{CommsError, Transport, TransportStats};
 use crate::wire::Message;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -47,8 +48,6 @@ pub struct TcpTransport {
     stream: TcpStream,
     cfg: TcpConfig,
     stats: TransportStats,
-    scratch: Vec<u8>,
-    payload_scratch: Vec<u8>,
 }
 
 impl TcpTransport {
@@ -84,13 +83,7 @@ impl TcpTransport {
     /// Wraps an accepted stream.
     pub fn from_stream(stream: TcpStream, cfg: TcpConfig) -> std::io::Result<Self> {
         stream.set_nodelay(true)?;
-        Ok(TcpTransport {
-            stream,
-            cfg,
-            stats: TransportStats::default(),
-            scratch: Vec::new(),
-            payload_scratch: Vec::new(),
-        })
+        Ok(TcpTransport { stream, cfg, stats: TransportStats::default() })
     }
 
     fn read_one(&mut self, first_byte_timeout: Option<Duration>) -> Result<Message, CommsError> {
@@ -114,8 +107,9 @@ impl TcpTransport {
         let frame = read_frame(&mut prefixed)?;
         let (msg_type, payload) = frame.ok_or(CommsError::Closed)?;
         let msg = Message::decode_payload(msg_type, &payload)?;
-        self.stats.recvs += 1;
         let bytes = (crate::frame::HEADER_LEN + payload.len() + 4) as u64;
+        bytepool::recycle(payload);
+        self.stats.recvs += 1;
         self.stats.bytes_recvd += bytes;
         crate::trace::counters().on_recv_msg(msg_type, bytes, msg.logical_weight_bytes() as u64);
         Ok(msg)
@@ -144,24 +138,16 @@ impl<R: std::io::Read> std::io::Read for PrefixedRead<'_, R> {
 
 impl Transport for TcpTransport {
     fn send(&mut self, msg: Message) -> Result<(), CommsError> {
-        msg.encode_payload(&mut self.payload_scratch);
         let ty = msg.wire_type();
         let logical = msg.logical_weight_bytes() as u64;
-        // Large payload buffers (pull replies, deltas) are done with once
-        // serialized; recycle them for the next decode.
-        match msg {
-            Message::PullReply { weights, .. } | Message::WeightsUpdate { weights, .. } => {
-                ea_tensor::pool::recycle(weights)
-            }
-            Message::SubmitDelta { delta, .. } => ea_tensor::pool::recycle(delta),
-            _ => {}
-        }
-        let payload = std::mem::take(&mut self.payload_scratch);
-        let written = write_frame(&mut self.stream, ty, &payload, &mut self.scratch)?;
-        self.payload_scratch = payload;
+        let frame = encode_message(msg);
+        let written = std::io::Write::write_all(&mut self.stream, &frame);
+        let bytes = frame.len() as u64;
+        bytepool::recycle(frame);
+        written?;
         self.stats.sends += 1;
-        self.stats.bytes_sent += written as u64;
-        crate::trace::counters().on_send_msg(ty, written as u64, logical);
+        self.stats.bytes_sent += bytes;
+        crate::trace::counters().on_send_msg(ty, bytes, logical);
         Ok(())
     }
 

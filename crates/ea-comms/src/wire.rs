@@ -316,6 +316,12 @@ impl Message {
     /// `out`, which is cleared first.
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.write_payload(out);
+    }
+
+    /// Appends the payload to `out` — in place behind a frame header for
+    /// [`crate::frame::encode_message`].
+    pub(crate) fn write_payload(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello { proto, pipe, codec } => {
                 out.extend_from_slice(&proto.to_le_bytes());
@@ -666,7 +672,7 @@ impl Message {
         }
     }
 
-    /// Approximate payload size in bytes, for counters and buffer sizing.
+    /// Exact payload size in bytes, for counters and buffer sizing.
     pub fn payload_len(&self) -> usize {
         match self {
             Message::Hello { .. } => 7,
@@ -690,6 +696,23 @@ impl Message {
             Message::WeightsUpdateC { blob, .. } => 17 + blob.len(),
             Message::OpsPush { blob, .. } => 17 + blob.len(),
             Message::OpsAck { .. } => 24,
+        }
+    }
+
+    /// Returns the message's large buffers to their pools — dense `f32`
+    /// vectors to `ea_tensor::pool`, codec blobs to the byte pool — once
+    /// it has been serialized or will never be sent.
+    pub(crate) fn recycle(self) {
+        match self {
+            Message::PullReply { weights: v, .. }
+            | Message::WeightsUpdate { weights: v, .. }
+            | Message::SubmitDelta { delta: v, .. }
+            | Message::Infer { input: v, .. }
+            | Message::InferReply { output: v, .. } => ea_tensor::pool::recycle(v),
+            Message::SubmitDeltaC { blob, .. }
+            | Message::PullReplyC { blob, .. }
+            | Message::WeightsUpdateC { blob, .. } => crate::bytepool::recycle(blob),
+            _ => {}
         }
     }
 
