@@ -131,12 +131,7 @@ fn main() {
         spare,
         0,
         &spec,
-        ServeConfig {
-            input_len: CFG.seq,
-            queue_cap: 4096,
-            max_coalesce_delay: Duration::from_millis(2),
-            ..ServeConfig::default()
-        },
+        ServeConfig { input_len: CFG.seq, queue_cap: 4096, ..ServeConfig::default() },
     );
     let tuned_cap = engine.batch_cap();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");

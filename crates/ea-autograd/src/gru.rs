@@ -4,8 +4,8 @@
 
 use crate::{ForwardCtx, Layer, Param, Saved};
 use ea_tensor::{
-    col_sums, matmul_a_bt_into, matmul_at_b_into, matmul_into, pool, transpose_into,
-    xavier_uniform, Tensor, TensorRng,
+    col_sums, matmul_a_bt_into, matmul_at_b_into, matmul_into, matmul_packed_into, pool,
+    xavier_uniform, PackedB, Tensor, TensorRng,
 };
 
 /// A single-direction GRU unrolled over a fixed sequence length.
@@ -90,6 +90,8 @@ impl Layer for GruSeq {
         matmul_into(x, &self.wx.value, &mut xpre_all);
         xpre_all.add_row_broadcast_assign(&self.b.value);
 
+        // Wh is the right-hand operand of every step: pack it once.
+        let wh = PackedB::pack(&self.wh.value);
         // Per-timestep scratch reused across the unroll.
         let mut xpre = Tensor::zeros(&[0]);
         let mut hpre = Tensor::zeros(&[0]);
@@ -98,7 +100,7 @@ impl Layer for GruSeq {
         let mut hn = Tensor::zeros(&[0]);
         for t in 0..self.seq {
             self.gather_t_into(&xpre_all, t, batch, 3 * h, &mut xpre);
-            matmul_into(&h_prev, &self.wh.value, &mut hpre);
+            matmul_packed_into(&h_prev, &wh, &mut hpre);
             gates.prepare_out(&[batch, 3 * h]);
             ht.prepare_out(&[batch, h]);
             hn.prepare_out(&[batch, h]);
@@ -155,10 +157,8 @@ impl Layer for GruSeq {
         let mut dxpre_all = pool::take_buf(rows * 3 * h);
         let mut dh_next = Tensor::zeros(&[batch, h]);
 
-        // Whᵀ is loop-invariant; transpose it once instead of once per
-        // timestep inside matmul_a_bt.
-        let mut wht = Tensor::zeros(&[0]);
-        transpose_into(&self.wh.value, &mut wht);
+        // Whᵀ is loop-invariant: pack it once, straight from Wh's rows.
+        let wht = PackedB::pack_t(&self.wh.value);
 
         // Per-timestep scratch reused across the unroll (`dw` is shared by
         // both weight gradients).
@@ -233,7 +233,7 @@ impl Layer for GruSeq {
             self.wh.accumulate_grad(&dw);
             self.b.accumulate_grad(&col_sums(&dxpre));
             self.scatter_t(&mut dxpre_all, &dxpre, t, batch, 3 * h);
-            matmul_into(&dhpre, &wht, &mut dh_next);
+            matmul_packed_into(&dhpre, &wht, &mut dh_next);
             dh_next.add_assign(&dh_prev_direct);
         }
 

@@ -2,8 +2,8 @@
 
 use crate::{ForwardCtx, Layer, Param, Saved};
 use ea_tensor::{
-    col_sums, matmul_a_bt_into, matmul_at_b_into, matmul_into, pool, transpose_into,
-    xavier_uniform, Tensor, TensorRng,
+    col_sums, matmul_a_bt_into, matmul_at_b_into, matmul_into, matmul_packed_into, pool,
+    xavier_uniform, PackedB, Tensor, TensorRng,
 };
 
 /// A single-direction LSTM unrolled over a fixed sequence length.
@@ -86,6 +86,8 @@ impl Layer for LstmSeq {
         matmul_into(x, &self.wx.value, &mut pre_all);
         pre_all.add_row_broadcast_assign(&self.b.value);
 
+        // Wh is the right-hand operand of every step: pack it once.
+        let wh = PackedB::pack(&self.wh.value);
         // Per-timestep scratch reused across the unroll.
         let mut hh = Tensor::zeros(&[0]);
         let mut gates = Tensor::zeros(&[0]);
@@ -95,7 +97,7 @@ impl Layer for LstmSeq {
         for t in 0..self.seq {
             // Gate order within the 4h width: [i, f, g, o].
             self.gather_t_into(&pre_all, t, batch, 4 * h, &mut gates);
-            matmul_into(&h_prev, &self.wh.value, &mut hh);
+            matmul_packed_into(&h_prev, &wh, &mut hh);
             gates.add_assign(&hh);
             ct.prepare_out(&[batch, h]);
             ht.prepare_out(&[batch, h]);
@@ -161,10 +163,8 @@ impl Layer for LstmSeq {
         let mut dh_next = Tensor::zeros(&[batch, h]);
         let mut dc_next = Tensor::zeros(&[batch, h]);
 
-        // Whᵀ is loop-invariant; transpose it once instead of once per
-        // timestep inside matmul_a_bt.
-        let mut wht = Tensor::zeros(&[0]);
-        transpose_into(&self.wh.value, &mut wht);
+        // Whᵀ is loop-invariant: pack it once, straight from Wh's rows.
+        let wht = PackedB::pack_t(&self.wh.value);
 
         // Per-timestep scratch reused across the unroll (`dw` is shared by
         // both weight gradients).
@@ -234,7 +234,7 @@ impl Layer for LstmSeq {
             self.wh.accumulate_grad(&dw);
             self.b.accumulate_grad(&col_sums(&dpre));
             self.scatter_t(&mut dpre_all, &dpre, t, batch, 4 * h);
-            matmul_into(&dpre, &wht, &mut dh_next);
+            matmul_packed_into(&dpre, &wht, &mut dh_next);
             std::mem::swap(&mut dc_next, &mut dc_prev);
         }
 

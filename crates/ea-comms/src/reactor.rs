@@ -51,6 +51,13 @@ mod imp;
 
 pub use imp::{Reactor, ReactorWaker};
 
+/// The portable fallback, also compiled for tests on epoll hosts so the
+/// reactor tests below run against both implementations.
+#[cfg(all(test, target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[allow(dead_code)]
+#[path = "reactor_threaded.rs"]
+mod threaded;
+
 /// Stable identity of one accepted connection.
 ///
 /// Packs `thread | generation | slot` into a `u64`, so the id is both the
@@ -289,4 +296,136 @@ mod unit_tests {
         assert_eq!(resolve_threads(3), 3);
         assert_eq!(resolve_threads(1000), 64);
     }
+}
+
+#[cfg(test)]
+mod wake_tests {
+    use super::*;
+    use crate::tcp::{TcpConfig, TcpTransport};
+    use crate::transport::Transport;
+    use std::net::TcpListener;
+    use std::sync::{Arc, Mutex};
+    use std::time::Instant;
+
+    /// Parks every Heartbeat; `poll` answers the parked requests of the
+    /// released connections only, standing in for work finished on
+    /// another thread.
+    #[derive(Default)]
+    struct Parking {
+        hellos: Mutex<Vec<ConnId>>,
+        parked: Mutex<Vec<(ConnId, u32, u64)>>,
+        released: Mutex<Vec<ConnId>>,
+    }
+
+    impl Parking {
+        fn is_parked(&self, conn: ConnId) -> bool {
+            self.parked.lock().unwrap().iter().any(|p| p.0 == conn)
+        }
+    }
+
+    impl ReactorHandler for Parking {
+        fn on_message(&self, conn: ConnId, msg: Message, out: &mut Outbox) {
+            match msg {
+                Message::Hello { proto, .. } => {
+                    self.hellos.lock().unwrap().push(conn);
+                    let ack = Message::HelloAck {
+                        proto,
+                        n_shards: 1,
+                        n_pipelines: 1,
+                        codec: ea_optim::Codec::F32,
+                        shard_base: 0,
+                        shard_count: 1,
+                    };
+                    out.send(conn, ack);
+                }
+                Message::Heartbeat { pipe, round, .. } => {
+                    self.parked.lock().unwrap().push((conn, pipe, round));
+                }
+                _ => out.close(conn, "unexpected message"),
+            }
+        }
+
+        fn poll(&self, out: &mut Outbox) {
+            let released = self.released.lock().unwrap();
+            self.parked.lock().unwrap().retain(|&(conn, pipe, round)| {
+                if !released.contains(&conn) {
+                    return true;
+                }
+                let ack = Message::HeartbeatAck {
+                    pipe,
+                    round,
+                    quorum: 1,
+                    members: 1,
+                    echo_tx_us: 0,
+                    t_server_us: 0,
+                };
+                out.send(conn, ack);
+                false
+            });
+        }
+
+        fn has_deferred(&self) -> bool {
+            let released = self.released.lock().unwrap();
+            self.parked.lock().unwrap().iter().any(|p| released.contains(&p.0))
+        }
+    }
+
+    /// Three event loops, one client each (connections are dealt
+    /// round-robin, so client `k` lands on loop `k`), and a `handler_poll`
+    /// longer than the clients' 30 s frame timeout: a reply that waited
+    /// for the poll cadence would fail the receive. For each loop `k`,
+    /// `wake_conn` on client `k`'s connection must get its reply onto the
+    /// wire.
+    macro_rules! wake_conn_test {
+        ($name:ident, $imp:ident) => {
+            #[test]
+            fn $name() {
+                let handler = Arc::new(Parking::default());
+                let cfg = ReactorConfig {
+                    threads: 3,
+                    handler_poll: Duration::from_secs(60),
+                    ..ReactorConfig::default()
+                };
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let reactor = super::$imp::Reactor::spawn(listener, handler.clone(), cfg).unwrap();
+                let waker = reactor.waker();
+                let mut clients: Vec<TcpTransport> = (0..3)
+                    .map(|pipe| {
+                        let mut t =
+                            TcpTransport::connect(reactor.local_addr(), TcpConfig::default())
+                                .unwrap();
+                        let proto = crate::PROTO_VERSION as u16;
+                        t.send(Message::Hello { proto, pipe, codec: ea_optim::Codec::F32 })
+                            .unwrap();
+                        assert!(matches!(t.recv().unwrap(), Message::HelloAck { .. }));
+                        t
+                    })
+                    .collect();
+                let conns = handler.hellos.lock().unwrap().clone();
+                assert_eq!(conns.len(), 3);
+                for k in [2usize, 0, 1] {
+                    let (pipe, round) = (k as u32, 10 + k as u64);
+                    clients[k].send(Message::Heartbeat { pipe, round, t_tx_us: 0 }).unwrap();
+                    let deadline = Instant::now() + Duration::from_secs(5);
+                    while !handler.is_parked(conns[k]) {
+                        assert!(Instant::now() < deadline, "request {k} never parked");
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    handler.released.lock().unwrap().push(conns[k]);
+                    waker.wake_conn(conns[k]);
+                    let reply = clients[k].recv().expect("reply after wake_conn");
+                    assert!(
+                        matches!(reply, Message::HeartbeatAck { pipe: p, round: r, .. }
+                            if p == pipe && r == round),
+                        "client {k} got {reply:?}"
+                    );
+                }
+                reactor.shutdown();
+            }
+        };
+    }
+
+    wake_conn_test!(wake_conn_flushes_the_owners_completions, imp);
+    #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+    wake_conn_test!(wake_conn_flushes_the_owners_completions_threaded_fallback, threaded);
 }

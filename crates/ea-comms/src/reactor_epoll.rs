@@ -81,6 +81,40 @@ struct Shared {
 }
 
 impl Shared {
+    /// State for `n_threads` event loops, plus the read end of each
+    /// loop's wake pipe.
+    fn new(
+        handler: Arc<dyn ReactorHandler>,
+        cfg: &ReactorConfig,
+        n_threads: usize,
+    ) -> io::Result<(Shared, Vec<UnixStream>)> {
+        let mut threads = Vec::with_capacity(n_threads);
+        let mut wake_rxs = Vec::with_capacity(n_threads);
+        for _ in 0..n_threads {
+            let (tx, rx) = UnixStream::pair()?;
+            tx.set_nonblocking(true)?;
+            rx.set_nonblocking(true)?;
+            threads.push(ThreadShared {
+                inbox: Mutex::new(Inbox::default()),
+                wake_tx: tx,
+                drained: AtomicBool::new(false),
+            });
+            wake_rxs.push(rx);
+        }
+        let shared = Shared {
+            handler,
+            idle_timeout: cfg.idle_timeout,
+            max_outbound_bytes: cfg.max_outbound_bytes,
+            handler_poll: cfg.handler_poll,
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            threads,
+            rr: AtomicUsize::new(0),
+            live_conns: AtomicUsize::new(0),
+        };
+        Ok((shared, wake_rxs))
+    }
+
     fn wake(&self, thread: usize) {
         // A full (nonblocking) pipe means a wake is already pending —
         // that is exactly the state we want, so the error is ignored.
@@ -121,11 +155,11 @@ impl Shared {
     }
 }
 
-/// Cloneable handle that cuts short every event-loop thread's
-/// `epoll_wait` sleep, so deferred work completed outside the reactor
-/// (e.g. an inference engine finishing a batch on its own thread) is
-/// picked up by [`ReactorHandler::poll`] immediately instead of at the
-/// next `handler_poll` tick. Safe to call from any thread, at any rate:
+/// Cloneable handle that cuts short an event-loop thread's `epoll_wait`
+/// sleep, so deferred work completed outside the reactor (e.g. an
+/// inference engine finishing a batch on its own thread) is picked up by
+/// [`ReactorHandler::poll`] immediately instead of at the next
+/// `handler_poll` tick. Safe to call from any thread, at any rate:
 /// redundant wakes coalesce in the wake pipe.
 #[derive(Clone)]
 pub struct ReactorWaker {
@@ -136,6 +170,17 @@ impl ReactorWaker {
     /// Wakes every event-loop thread.
     pub fn wake(&self) {
         self.shared.wake_all();
+    }
+
+    /// Wakes only the event loop that owns `conn`, whose poll then writes
+    /// the connection's replies itself. A broadcast [`wake`](Self::wake)
+    /// can let another loop drain them first and forward them through the
+    /// owner's inbox, which costs the owner a second wake. An id this
+    /// reactor never issued wakes nothing.
+    pub fn wake_conn(&self, conn: ConnId) {
+        if conn.thread() < self.shared.threads.len() {
+            self.shared.wake(conn.thread());
+        }
     }
 }
 
@@ -159,35 +204,10 @@ impl Reactor {
     ) -> io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let n_threads = resolve_threads(cfg.threads);
+        let (shared, wake_rxs) = Shared::new(handler, &cfg, resolve_threads(cfg.threads))?;
+        let shared = Arc::new(shared);
 
-        let mut thread_shared = Vec::with_capacity(n_threads);
-        let mut wake_rxs = Vec::with_capacity(n_threads);
-        for _ in 0..n_threads {
-            let (tx, rx) = UnixStream::pair()?;
-            tx.set_nonblocking(true)?;
-            rx.set_nonblocking(true)?;
-            thread_shared.push(ThreadShared {
-                inbox: Mutex::new(Inbox::default()),
-                wake_tx: tx,
-                drained: AtomicBool::new(false),
-            });
-            wake_rxs.push(rx);
-        }
-
-        let shared = Arc::new(Shared {
-            handler,
-            idle_timeout: cfg.idle_timeout,
-            max_outbound_bytes: cfg.max_outbound_bytes,
-            handler_poll: cfg.handler_poll,
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            threads: thread_shared,
-            rr: AtomicUsize::new(0),
-            live_conns: AtomicUsize::new(0),
-        });
-
-        let mut joins = Vec::with_capacity(n_threads);
+        let mut joins = Vec::with_capacity(wake_rxs.len());
         let mut listener = Some(listener);
         for (idx, wake_rx) in wake_rxs.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
@@ -782,6 +802,36 @@ mod tests {
 
     fn connect(addr: SocketAddr) -> TcpTransport {
         TcpTransport::connect(addr, TcpConfig::default()).expect("connect")
+    }
+
+    /// Bytes waiting in a wake pipe (drains it).
+    fn pending_wakes(rx: &UnixStream) -> usize {
+        let mut buf = [0u8; 64];
+        let mut n = 0;
+        while let Ok(k @ 1..) = (&*rx).read(&mut buf) {
+            n += k;
+        }
+        n
+    }
+
+    #[test]
+    fn wake_conn_writes_only_the_owning_loops_wake_pipe() {
+        let handler = Arc::new(EchoHandler::new());
+        let (shared, rxs) = Shared::new(handler, &ReactorConfig::default(), 3).unwrap();
+        let waker = ReactorWaker { shared: Arc::new(shared) };
+        let pending = || rxs.iter().map(pending_wakes).collect::<Vec<_>>();
+
+        waker.wake_conn(ConnId::new(2, 7, 5));
+        assert_eq!(pending(), [0, 0, 1]);
+        waker.wake_conn(ConnId::new(0, 1, 9));
+        waker.wake_conn(ConnId::new(0, 2, 3));
+        assert_eq!(pending(), [2, 0, 0]);
+        // An id no loop of this reactor issued wakes nothing.
+        waker.wake_conn(ConnId::new(3, 0, 0));
+        assert_eq!(pending(), [0, 0, 0]);
+        // The broadcast (graceful shutdown's path) still reaches every loop.
+        waker.wake();
+        assert_eq!(pending(), [1, 1, 1]);
     }
 
     #[test]

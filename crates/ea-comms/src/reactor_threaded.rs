@@ -56,12 +56,19 @@ struct Shared {
     gen: AtomicU32,
     live_conns: AtomicUsize,
     /// The ticker waits on this instead of a plain sleep, so a
-    /// [`ReactorWaker`] can force an immediate handler poll.
-    tick: Mutex<()>,
+    /// [`ReactorWaker`] can force an immediate handler poll. The flag is a
+    /// pending wake: one that lands while the ticker is busy polling is
+    /// kept for its next wait instead of lost.
+    tick: Mutex<bool>,
     tick_cv: Condvar,
 }
 
 impl Shared {
+    fn wake_ticker(&self) {
+        *self.tick.lock().expect("reactor ticker poisoned") = true;
+        self.tick_cv.notify_all();
+    }
+
     /// Routes an outbox produced by any handler callback.
     fn route_outbox(self: &Arc<Self>, outbox: &mut Outbox) {
         for (to, msg) in outbox.sends.drain(..) {
@@ -129,7 +136,7 @@ impl Reactor {
             next_slot: AtomicUsize::new(0),
             gen: AtomicU32::new(0),
             live_conns: AtomicUsize::new(0),
-            tick: Mutex::new(()),
+            tick: Mutex::new(false),
             tick_cv: Condvar::new(),
         });
 
@@ -186,7 +193,7 @@ impl Reactor {
         self.shared.handler.on_shutdown(&mut outbox);
         self.shared.route_outbox(&mut outbox);
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.tick_cv.notify_all();
+        self.shared.wake_ticker();
         let deadline = Instant::now() + timeout;
         while Instant::now() < deadline {
             let pending = {
@@ -203,6 +210,7 @@ impl Reactor {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        self.shared.wake_ticker();
         {
             let conns = self.shared.conns.lock().expect("reactor conns poisoned");
             for entry in conns.values() {
@@ -263,7 +271,13 @@ pub struct ReactorWaker {
 impl ReactorWaker {
     /// Wakes the ticker thread.
     pub fn wake(&self) {
-        self.shared.tick_cv.notify_all();
+        self.shared.wake_ticker();
+    }
+
+    /// Wakes the thread that polls for `conn`: here the one ticker, which
+    /// polls for every connection.
+    pub fn wake_conn(&self, _conn: ConnId) {
+        self.wake();
     }
 }
 
@@ -271,7 +285,11 @@ fn ticker_loop(shared: Arc<Shared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         {
             let guard = shared.tick.lock().expect("reactor ticker poisoned");
-            let _ = shared.tick_cv.wait_timeout(guard, shared.handler_poll);
+            let (mut woken, _) = shared
+                .tick_cv
+                .wait_timeout_while(guard, shared.handler_poll, |woken| !*woken)
+                .expect("reactor ticker poisoned");
+            *woken = false;
         }
         if shared.handler.has_deferred() {
             let mut outbox = Outbox::default();

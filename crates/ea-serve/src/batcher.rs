@@ -1,14 +1,17 @@
-//! Dynamic micro-batcher: a bounded admission queue that coalesces
-//! requests into micro-batches under a latency budget.
+//! Dynamic micro-batcher: a bounded admission queue that hands the
+//! executor whatever is queued, up to a batch cap.
 //!
 //! The serving analogue of the paper's micro-batch tuning: throughput
 //! rises with batch size only while the device's demand curve still
-//! climbs (§5.2), so the executor asks for *up to* `cap` requests — the
-//! cap computed by [`avgpipe::serve_batch_cap`] from the model's
-//! arithmetic-intensity profile and a measured cost model — but never
-//! holds the first request longer than `max_delay`. Under load the
-//! queue fills and batches form instantly at the cap; at low load a
-//! lone request waits at most `max_delay` before executing alone.
+//! climbs (§5.2), so the executor takes *up to* `cap` requests — the cap
+//! computed by [`avgpipe::serve_batch_cap`] from the model's
+//! arithmetic-intensity profile and a measured cost model. That is a
+//! reason to bound a batch, not to delay one: the batcher is
+//! work-conserving. As soon as one request is queued and the executor
+//! asks, it gets everything queued. At low load a request runs alone,
+//! at once; under load the queue refills while each forward runs, so
+//! batches form from the requests that arrived meanwhile and grow
+//! toward the cap as the load does.
 //!
 //! Admission control is load-shedding, not back-pressure: a full queue
 //! rejects new requests immediately ([`Admission::Shed`]) so the
@@ -84,23 +87,14 @@ impl Batcher {
         self.queue.lock().expect("batcher queue poisoned").len()
     }
 
-    /// Blocks until a batch is ready, the batcher stops, or — with an
+    /// Blocks until a request is queued, the batcher stops, or — with an
     /// empty queue — `idle_wait` elapses (returning an empty vec so the
-    /// caller can run housekeeping and re-enter).
-    ///
-    /// Batch formation: wait for the first request, then keep
-    /// coalescing until `cap` requests are queued or the first
-    /// request's age reaches `max_delay`. Returns at least one request
-    /// when non-empty, never more than `cap`.
-    pub fn next_batch(
-        &self,
-        cap: usize,
-        max_delay: Duration,
-        idle_wait: Duration,
-    ) -> Vec<InferRequest> {
-        let cap = cap.max(1);
+    /// caller can run housekeeping and re-enter). Then returns every
+    /// queued request, oldest first, up to `cap`, without waiting for
+    /// more. After [`stop`](Batcher::stop) it drains what is queued,
+    /// then returns empty at once.
+    pub fn next_batch(&self, cap: usize, idle_wait: Duration) -> Vec<InferRequest> {
         let mut q = self.queue.lock().expect("batcher queue poisoned");
-        // Phase 1: wait for work (or stop / idle timeout).
         let idle_deadline = Instant::now() + idle_wait;
         while q.is_empty() {
             if self.stopped.load(Ordering::Acquire) {
@@ -116,19 +110,7 @@ impl Batcher {
                 .expect("batcher queue poisoned");
             q = guard;
         }
-        // Phase 2: coalesce up to `cap` within the oldest request's
-        // latency budget. Stop requests drain whatever is queued.
-        let deadline = q.front().expect("non-empty").enqueued + max_delay;
-        while q.len() < cap && !self.stopped.load(Ordering::Acquire) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) =
-                self.available.wait_timeout(q, deadline - now).expect("batcher queue poisoned");
-            q = guard;
-        }
-        let take = q.len().min(cap);
+        let take = q.len().min(cap.max(1));
         q.drain(..take).collect()
     }
 
@@ -178,25 +160,65 @@ mod tests {
             b.submit(req(i));
         }
         let t0 = Instant::now();
-        let batch = b.next_batch(8, Duration::from_secs(10), Duration::from_secs(10));
+        let batch = b.next_batch(8, Duration::from_secs(10));
         assert_eq!(batch.len(), 8);
-        assert!(t0.elapsed() < Duration::from_secs(1), "full batch must not wait for max_delay");
+        assert!(t0.elapsed() < Duration::from_secs(1), "a queued batch must not wait");
         assert_eq!(batch[0].id, 0);
         assert_eq!(batch[7].id, 7);
     }
 
     #[test]
-    fn lone_request_executes_after_max_delay() {
+    fn more_than_cap_queued_returns_exactly_cap_oldest_first() {
+        let b = Batcher::new(64);
+        for i in 0..11 {
+            b.submit(req(i));
+        }
+        let first = b.next_batch(4, Duration::from_secs(10));
+        assert_eq!(first.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(b.depth(), 7);
+        let second = b.next_batch(4, Duration::from_secs(10));
+        assert_eq!(second.iter().map(|r| r.id).collect::<Vec<_>>(), [4, 5, 6, 7]);
+        let rest = b.next_batch(4, Duration::from_secs(10));
+        assert_eq!(rest.iter().map(|r| r.id).collect::<Vec<_>>(), [8, 9, 10]);
+    }
+
+    #[test]
+    fn request_queued_before_the_call_returns_without_waiting() {
+        let b = Batcher::new(64);
+        let fastest = (0..20)
+            .map(|i| {
+                b.submit(req(i));
+                let t0 = Instant::now();
+                let batch = b.next_batch(8, Duration::from_secs(10));
+                let waited = t0.elapsed();
+                assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), [i]);
+                waited
+            })
+            .min()
+            .unwrap();
+        // A lone request below the cap is handed over at once. A
+        // coalesce window of any length would show in every one of the
+        // 20 tries; a loaded host cannot delay them all.
+        assert!(fastest < Duration::from_millis(1), "fastest of 20 tries waited {fastest:?}");
+    }
+
+    #[test]
+    fn request_submitted_during_the_wait_is_returned_on_wake() {
         let b = Arc::new(Batcher::new(64));
         let b2 = Arc::clone(&b);
         let waiter = std::thread::spawn(move || {
-            b2.next_batch(8, Duration::from_millis(60), Duration::from_secs(10))
+            let batch = b2.next_batch(8, Duration::from_secs(10));
+            (batch, Instant::now())
         });
         std::thread::sleep(Duration::from_millis(10));
+        let submitted = Instant::now();
         b.submit(req(42));
-        let batch = waiter.join().unwrap();
+        let (batch, returned) = waiter.join().unwrap();
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].id, 42);
+        // Woken by the submit, not by the 10 s idle timeout.
+        let after = returned.saturating_duration_since(submitted);
+        assert!(after < Duration::from_secs(5), "returned {after:?} after the submit");
     }
 
     #[test]
@@ -206,9 +228,9 @@ mod tests {
         b.submit(req(2));
         b.stop();
         assert_eq!(b.submit(req(3)), Admission::Shed);
-        let batch = b.next_batch(8, Duration::from_secs(10), Duration::from_secs(10));
+        let batch = b.next_batch(8, Duration::from_secs(10));
         assert_eq!(batch.len(), 2, "stop drains what was already admitted");
-        let empty = b.next_batch(8, Duration::from_secs(10), Duration::from_secs(10));
+        let empty = b.next_batch(8, Duration::from_secs(10));
         assert!(empty.is_empty(), "stopped and empty returns immediately");
     }
 
@@ -216,7 +238,7 @@ mod tests {
     fn idle_wait_returns_empty_for_housekeeping() {
         let b = Batcher::new(8);
         let t0 = Instant::now();
-        let batch = b.next_batch(8, Duration::from_secs(10), Duration::from_millis(30));
+        let batch = b.next_batch(8, Duration::from_millis(30));
         assert!(batch.is_empty());
         let waited = t0.elapsed();
         assert!(waited >= Duration::from_millis(25), "waited {waited:?}");

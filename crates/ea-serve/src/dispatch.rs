@@ -12,9 +12,9 @@
 //! membership, and metrics.
 //!
 //! Replies flow back asynchronously: the executor thread queues
-//! [`Completion`](crate::engine::Completion)s and pokes the reactor via
-//! its waker; the next handler `poll` drains them into `InferReply`
-//! frames on the owning connections. Graceful shutdown first runs the
+//! [`Completion`](crate::engine::Completion)s and wakes the event loop
+//! that owns the batch's connection; its handler `poll` drains them into
+//! `InferReply` frames on the owning connections. Graceful shutdown first runs the
 //! trainer-side protocol drain, then serves out the admitted inference
 //! queue and flushes the final completions, so an accepted request is
 //! answered even when the server is going down.
@@ -102,8 +102,8 @@ impl ReactorHandler for ServeDispatch {
 }
 
 /// Spawns a reactor serving both protocols on `listener`, with the
-/// engine's completion waker wired to the reactor so replies never wait
-/// out a poll interval. The trainer protocol (leases, rounds, weight
+/// engine's completion waker wired to the owning event loop so replies
+/// never wait out a poll interval. The trainer protocol (leases, rounds, weight
 /// subscriptions) runs against `trainer`'s shards.
 pub fn spawn_serving(
     listener: TcpListener,
@@ -114,6 +114,6 @@ pub fn spawn_serving(
     let dispatch = Arc::new(ServeDispatch::new(Arc::clone(&engine), Arc::clone(trainer.core())));
     let reactor = Reactor::spawn(listener, dispatch, cfg)?;
     let waker = reactor.waker();
-    engine.set_waker(Box::new(move || waker.wake()));
+    engine.set_waker(Box::new(move |conn| waker.wake_conn(conn)));
     Ok(reactor)
 }

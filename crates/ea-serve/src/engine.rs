@@ -1,10 +1,12 @@
 //! The serving executor: one worker thread running forward-only passes
-//! over coalesced micro-batches against the current weight snapshot.
+//! over micro-batches of queued requests against the current weight
+//! snapshot.
 //!
 //! Ties the pieces together:
 //!
-//! * a [`Batcher`] admits and coalesces requests up to a **batch cap**
-//!   computed by [`avgpipe::serve_batch_cap`] from the model's §5
+//! * a [`Batcher`] admits requests and hands the executor everything
+//!   queued, as soon as it is idle, up to a **batch cap** computed by
+//!   [`avgpipe::serve_batch_cap`] from the model's §5
 //!   arithmetic-intensity profile and a *measured* cost model —
 //!   calibrated at startup by timing real forward passes at a few
 //!   batch sizes;
@@ -12,8 +14,8 @@
 //!   snapshot per batch, so every request in a batch is served by one
 //!   consistent weight version (hot swaps land *between* batches);
 //! * completions queue up for the frontend ([`drain_completions`]),
-//!   with an optional waker poking the reactor so replies do not wait
-//!   out a poll interval;
+//!   with an optional waker poking the event loop that owns the batch's
+//!   connection, so replies do not wait out a poll interval;
 //! * SLO accounting lands in a private [`ea_trace::Registry`]
 //!   (`queue`/`exec`/end-to-end latency histograms, served/shed
 //!   counters), exportable as Prometheus text.
@@ -36,6 +38,10 @@ use ea_trace::metrics::{Counter, Histogram, Registry};
 use crate::batcher::{Admission, Batcher, InferRequest};
 use crate::snapshot::SnapshotStore;
 
+/// Told the connection of a finished batch's first request (see
+/// [`ServeEngine::set_waker`]).
+type CompletionWaker = Box<dyn Fn(ConnId) + Send + Sync>;
+
 /// Engine tuning knobs.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
@@ -44,8 +50,6 @@ pub struct ServeConfig {
     pub input_len: usize,
     /// Admission bound: requests queued beyond this are shed.
     pub queue_cap: usize,
-    /// How long the oldest queued request may wait for co-batchers.
-    pub max_coalesce_delay: Duration,
     /// Per-batch forward execution budget (µs) for the latency side of
     /// [`serve_batch_cap`]; `f64::INFINITY` disables it.
     pub batch_budget_us: f64,
@@ -59,7 +63,6 @@ impl Default for ServeConfig {
         ServeConfig {
             input_len: 1,
             queue_cap: 1024,
-            max_coalesce_delay: Duration::from_millis(2),
             batch_budget_us: f64::INFINITY,
             calibration_sizes: vec![1, 2, 4, 8],
         }
@@ -114,7 +117,7 @@ pub struct ServeEngine {
     vocab: Option<usize>,
     batch_cap: AtomicUsize,
     completions: Mutex<VecDeque<Completion>>,
-    waker: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    waker: Mutex<Option<CompletionWaker>>,
     worker: Mutex<Option<JoinHandle<()>>>,
     registry: Registry,
     queue_us: Histogram,
@@ -196,19 +199,17 @@ impl ServeEngine {
         engine
     }
 
-    /// Worker loop: coalesce → forward → complete, retrying deferred
-    /// swaps on idle ticks. Holds only a [`Weak`] between iterations, so
-    /// dropping the last external handle (even without
-    /// [`shutdown`](ServeEngine::shutdown)) ends the loop within one
-    /// idle tick instead of leaking a spinning thread.
+    /// Worker loop: take what is queued → forward → complete, retrying
+    /// deferred swaps on idle ticks. Holds only a [`Weak`] between
+    /// iterations, so dropping the last external handle (even without
+    /// [`shutdown`](ServeEngine::shutdown)) ends the loop within one idle
+    /// tick instead of leaking a spinning thread.
     fn run(weak: Weak<Self>) {
         loop {
             let Some(engine) = weak.upgrade() else { return };
-            let batch = engine.batcher.next_batch(
-                engine.batch_cap.load(Ordering::Relaxed),
-                engine.cfg.max_coalesce_delay,
-                Duration::from_millis(20),
-            );
+            let batch = engine
+                .batcher
+                .next_batch(engine.batch_cap.load(Ordering::Relaxed), Duration::from_millis(20));
             if batch.is_empty() {
                 // Idle housekeeping: a swap deferred because a reader
                 // pinned the old snapshot can land now.
@@ -227,6 +228,7 @@ impl ServeEngine {
     /// Runs one micro-batch against one consistent snapshot.
     fn execute(&self, batch: Vec<InferRequest>) {
         let k = batch.len();
+        let conn = batch[0].conn;
         let exec_start = Instant::now();
         for req in &batch {
             self.queue_us.record((exec_start - req.enqueued).as_micros() as u64);
@@ -272,14 +274,13 @@ impl ServeEngine {
             }
         }
         self.served.add(k as u64);
-        if let Some(wake) = self.waker.lock().expect("waker poisoned").as_ref() {
-            wake();
-        }
+        self.wake(conn);
     }
 
     /// Answers every request of a failed batch with a `shed` completion.
     fn complete_shed(&self, batch: Vec<InferRequest>, version: u64) {
         let n = batch.len() as u64;
+        let conn = batch[0].conn;
         {
             let mut completions = self.completions.lock().expect("completion queue poisoned");
             for req in batch {
@@ -293,8 +294,15 @@ impl ServeEngine {
             }
         }
         self.shed.add(n);
+        self.wake(conn);
+    }
+
+    /// Fires the waker, if any, for a batch whose first request came in
+    /// on `conn`. That connection's event loop drains every queued
+    /// completion and forwards the ones owned by other loops.
+    fn wake(&self, conn: ConnId) {
         if let Some(wake) = self.waker.lock().expect("waker poisoned").as_ref() {
-            wake();
+            wake(conn);
         }
     }
 
@@ -374,9 +382,10 @@ impl ServeEngine {
         self.batch_cap.store(cap.max(1), Ordering::Relaxed);
     }
 
-    /// Registers a callback fired whenever completions become ready
-    /// (wired to [`ea_comms::reactor::ReactorWaker`] by the frontend).
-    pub fn set_waker(&self, wake: Box<dyn Fn() + Send + Sync>) {
+    /// Registers a callback fired with the batch's connection whenever
+    /// completions become ready (wired to
+    /// [`ea_comms::reactor::ReactorWaker::wake_conn`] by the frontend).
+    pub fn set_waker(&self, wake: CompletionWaker) {
         *self.waker.lock().expect("waker poisoned") = Some(wake);
     }
 
@@ -466,11 +475,7 @@ mod tests {
 
     #[test]
     fn serves_requests_matching_a_direct_forward() {
-        let engine = start_engine(ServeConfig {
-            input_len: 4,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        });
+        let engine = start_engine(ServeConfig { input_len: 4, ..ServeConfig::default() });
         let reference = linear_model(7); // same seed == same weights
         let input: Vec<f32> = vec![0.0, 5.0, 2.0, 7.0]; // token ids < vocab 8
         let want = reference.forward_eval(&Tensor::from_vec(input.clone(), &[4]));
@@ -489,21 +494,22 @@ mod tests {
 
     #[test]
     fn batched_outputs_split_per_request_bit_identically() {
-        let engine = start_engine(ServeConfig {
-            input_len: 4,
-            // Generous delay so all submissions coalesce into one batch.
-            max_coalesce_delay: Duration::from_millis(200),
-            ..ServeConfig::default()
-        });
+        let engine = start_engine(ServeConfig { input_len: 4, ..ServeConfig::default() });
         let reference = linear_model(7);
         let inputs: Vec<Vec<f32>> =
             (0..6).map(|i| (0..4).map(|j| ((i * 4 + j) % 8) as f32).collect()).collect();
-        for (i, input) in inputs.iter().enumerate() {
-            assert_eq!(
-                engine.submit(ConnId::from_raw(1), i as u64, input.clone()),
-                Admission::Accepted
-            );
-        }
+        // One hand-built batch of six, run the way the worker runs one.
+        let batch = inputs
+            .iter()
+            .enumerate()
+            .map(|(i, input)| InferRequest {
+                id: i as u64,
+                conn: ConnId::from_raw(1),
+                input: input.clone(),
+                enqueued: Instant::now(),
+            })
+            .collect();
+        engine.execute(batch);
         let mut done = wait_completions(&engine, 6);
         done.sort_by_key(|c| c.id);
         for (i, c) in done.iter().enumerate() {
@@ -512,12 +518,9 @@ mod tests {
                 assert_eq!(got.to_bits(), want.to_bits(), "request {i} output differs");
             }
         }
-        // All six coalesced (not six singleton batches).
-        assert!(
-            engine.slo().batches < 6,
-            "expected coalescing, got {} batches",
-            engine.slo().batches
-        );
+        // All six ran as one forward (not six singleton batches).
+        assert_eq!(engine.slo().batches, 1);
+        assert_eq!(engine.slo().mean_batch, 6.0);
         engine.shutdown();
     }
 
@@ -532,11 +535,7 @@ mod tests {
 
     #[test]
     fn malformed_values_are_shed_and_the_worker_survives() {
-        let engine = start_engine(ServeConfig {
-            input_len: 4,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        });
+        let engine = start_engine(ServeConfig { input_len: 4, ..ServeConfig::default() });
         // Out-of-vocab (vocab is 8), negative, non-finite: all shed at
         // admission instead of panicking the executor in Embedding.
         let conn = ConnId::from_raw(1);
@@ -573,7 +572,6 @@ mod tests {
             &spec,
             ServeConfig {
                 input_len: 3,
-                max_coalesce_delay: Duration::from_millis(1),
                 // No calibration: startup's own timing forwards would
                 // hit the same width mismatch before the worker spawns.
                 calibration_sizes: Vec::new(),
@@ -605,11 +603,7 @@ mod tests {
 
     #[test]
     fn hot_swap_changes_outputs_to_the_new_weights() {
-        let engine = start_engine(ServeConfig {
-            input_len: 4,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        });
+        let engine = start_engine(ServeConfig { input_len: 4, ..ServeConfig::default() });
         let input: Vec<f32> = vec![1.0, 2.0, 3.0, 4.0];
 
         // Build the target weights: every parameter 0.01.
@@ -636,11 +630,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_admitted_requests() {
-        let engine = start_engine(ServeConfig {
-            input_len: 4,
-            max_coalesce_delay: Duration::from_millis(50),
-            ..ServeConfig::default()
-        });
+        let engine = start_engine(ServeConfig { input_len: 4, ..ServeConfig::default() });
         for i in 0..4 {
             assert_eq!(engine.submit(ConnId::from_raw(2), i, vec![0.1; 4]), Admission::Accepted);
         }

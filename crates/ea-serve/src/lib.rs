@@ -10,9 +10,10 @@
 //!   arithmetic-intensity profile; serving reads the same demand curve
 //!   from the other end. [`avgpipe::serve_batch_cap`] turns the curve
 //!   plus startup-calibrated forward timings into a batch cap, and the
-//!   [`Batcher`] coalesces queued requests up to that cap within a
-//!   latency budget — batch=1 service under light load, cap-sized
-//!   batches under pressure, load-shedding past the admission bound.
+//!   [`Batcher`] hands an idle executor every queued request up to that
+//!   cap, without waiting for more — batch=1 service under light load,
+//!   batches that grow toward the cap under pressure, load-shedding past
+//!   the admission bound.
 //!
 //! * **Hot weight swap at elastic round boundaries.** A serving
 //!   replica subscribes to the live reference shards

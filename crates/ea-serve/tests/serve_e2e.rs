@@ -77,11 +77,7 @@ fn mid_traffic_hot_swap_is_atomic_and_bit_exact() {
         model(),
         0,
         &ea_models::analogue_spec(CFG),
-        ServeConfig {
-            input_len: CFG.seq,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
+        ServeConfig { input_len: CFG.seq, ..ServeConfig::default() },
     );
     let reactor = spawn_serving(
         listener,
@@ -214,11 +210,7 @@ fn malformed_remote_infer_is_shed_and_serving_survives() {
         model(),
         0,
         &ea_models::analogue_spec(CFG),
-        ServeConfig {
-            input_len: CFG.seq,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
+        ServeConfig { input_len: CFG.seq, ..ServeConfig::default() },
     );
     let reactor =
         spawn_serving(listener, ReactorConfig::default(), Arc::clone(&engine), &server).unwrap();

@@ -29,7 +29,8 @@ mod tensor;
 
 pub use init::{kaiming_uniform, uniform, xavier_uniform};
 pub use matmul::{
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into, outer,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_at_b, matmul_at_b_into, matmul_into,
+    matmul_packed_into, outer, PackedB,
 };
 pub use ops::{
     argmax_rows, col_sums, log_softmax_rows, log_softmax_rows_into, row_sums, softmax_rows,

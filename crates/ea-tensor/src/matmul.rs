@@ -22,6 +22,18 @@
 //! just a different stride pair, and `A·Bᵀ` packs the panels from `B`'s
 //! rows instead of its columns.
 //!
+//! # Packed operand
+//!
+//! Packing costs about as much as a few-row product, so a small product
+//! against a fixed B is mostly repacking. [`PackedB`] packs B once
+//! ([`PackedB::pack`], or [`PackedB::pack_t`] for a transposed operand)
+//! and [`matmul_packed_into`] multiplies against it any number of times;
+//! the recurrent layers pack their hidden-to-hidden weight once per pass
+//! instead of once per timestep. [`matmul_into`] is itself pack + packed
+//! product, so there is one SIMD path, not two. Under the scalar level
+//! a `PackedB` only holds B (transposed, for `pack_t`) and the product is
+//! the scalar kernel.
+//!
 //! Bit-exactness: lanes are output columns, so each output element still
 //! accumulates its `k` terms in ascending order with separate mul/add
 //! instructions (no FMA contraction), and the per-`(row, k)` zero-skip of
@@ -83,10 +95,11 @@ const NR: usize = 2 * simd::LANES;
 
 /// Packs the `kd × bn` operand `Bop` into `NR`-column panels laid out
 /// `panel[k * NR + j]`, reading `Bop[k, j] = bsrc[k * k_stride + j *
-/// j_stride]`. `(k_stride, j_stride) = (bn, 1)` packs `B` as stored;
-/// `(1, bk)` packs `Bᵀ` from a `[bn, bk]` tensor. The right-edge panel
-/// is zero-padded so the microkernel can always run full vectors (the
-/// padded lanes are computed but never stored).
+/// j_stride]`. `(k_stride, j_stride) = (bn, 1)` packs `B` as stored (each
+/// panel row is one contiguous copy); `(1, bk)` packs `Bᵀ` from a
+/// `[bn, bk]` tensor. The right-edge panel is zero-padded so the
+/// microkernel can always run full vectors (the padded lanes are
+/// computed but never stored).
 fn pack_panels(bsrc: &[f32], kd: usize, bn: usize, k_stride: usize, j_stride: usize) -> Vec<f32> {
     let n_panels = bn.div_ceil(NR);
     let mut packed = crate::pool::take_buf(n_panels * kd * NR);
@@ -96,9 +109,15 @@ fn pack_panels(bsrc: &[f32], kd: usize, bn: usize, k_stride: usize, j_stride: us
         let panel = &mut packed[p * kd * NR..(p + 1) * kd * NR];
         for k in 0..kd {
             let row = &mut panel[k * NR..(k + 1) * NR];
-            for (jj, slot) in row.iter_mut().enumerate() {
-                *slot = if jj < w { bsrc[k * k_stride + (j0 + jj) * j_stride] } else { 0.0 };
+            let src = k * k_stride + j0 * j_stride;
+            if j_stride == 1 {
+                row[..w].copy_from_slice(&bsrc[src..src + w]);
+            } else {
+                for (jj, slot) in row[..w].iter_mut().enumerate() {
+                    *slot = bsrc[src + jj * j_stride];
+                }
             }
+            row[w..].fill(0.0);
         }
     }
     packed
@@ -212,8 +231,34 @@ fn packed_rows(
     )
 }
 
-/// The shared SIMD driver: packs the `kd × bn` B-operand, then fills
-/// `obuf` chunk-parallel through the microkernel, recycling the panels.
+/// The product against pre-packed panels: fills `obuf` chunk-parallel
+/// through the microkernel. The one SIMD path: every layout, and
+/// [`matmul_packed_into`], ends here.
+#[allow(clippy::too_many_arguments)]
+fn packed_product(
+    obuf: &mut [f32],
+    adata: &[f32],
+    ais: usize,
+    ats: usize,
+    packed: &[f32],
+    kd: usize,
+    bn: usize,
+    skip: bool,
+) {
+    if kd == 0 {
+        // No terms to accumulate: the product is exactly zero.
+        obuf.fill(0.0);
+        return;
+    }
+    let rows = obuf.len() / bn;
+    let kernel = move |i0: usize, chunk: &mut [f32]| {
+        packed_rows(chunk, i0 * PAR_ROW_CHUNK, adata, ais, ats, packed, kd, bn, skip);
+    };
+    for_each_row_chunk(obuf, bn, rows * kd * bn, kernel);
+}
+
+/// A one-off SIMD product: packs the `kd × bn` B-operand, runs
+/// [`packed_product`], recycles the panels.
 #[allow(clippy::too_many_arguments)]
 fn simd_matmul(
     obuf: &mut [f32],
@@ -227,40 +272,15 @@ fn simd_matmul(
     bn: usize,
     skip: bool,
 ) {
-    if kd == 0 {
-        // No terms to accumulate: the product is exactly zero.
-        obuf.fill(0.0);
-        return;
-    }
     let packed = pack_panels(bsrc, kd, bn, b_k_stride, b_j_stride);
-    let rows = obuf.len() / bn;
-    let packed_ref = &packed;
-    let kernel = move |i0: usize, chunk: &mut [f32]| {
-        packed_rows(chunk, i0 * PAR_ROW_CHUNK, adata, ais, ats, packed_ref, kd, bn, skip);
-    };
-    for_each_row_chunk(obuf, bn, rows * kd * bn, kernel);
+    packed_product(obuf, adata, ais, ats, &packed, kd, bn, skip);
     crate::pool::recycle(packed);
 }
 
-/// `C[r, n] = A[r, k] · B[k, n]`, written into `out`.
-pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
-    let (ar, ak) = a.shape().as_matrix();
-    let (bk, bn) = b.shape().as_matrix();
-    assert_eq!(ak, bk, "matmul inner dims differ: {ak} vs {bk}");
-    out.prepare_out(&[ar, bn]);
-    let obuf = out.data_mut();
-    if obuf.is_empty() {
-        // Zero-sized output: nothing to compute (and chunks_mut(0) below
-        // would panic when bn == 0).
-        return;
-    }
-    let adata = a.data();
-    let bdata = b.data();
-    if simd::active_level() != Level::Scalar {
-        simd_matmul(obuf, adata, ak, 1, bdata, bn, 1, ak, bn, true);
-        return;
-    }
+/// The scalar `A · B` kernel (ikj order, per-`(row, k)` zero-skip).
+fn scalar_matmul(obuf: &mut [f32], adata: &[f32], ak: usize, bdata: &[f32], bn: usize) {
     obuf.fill(0.0);
+    let ar = obuf.len() / bn;
     let kernel = |i0: usize, chunk: &mut [f32]| {
         let row0 = i0 * PAR_ROW_CHUNK;
         for (local, row) in chunk.chunks_mut(bn).enumerate() {
@@ -278,6 +298,84 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         }
     };
     for_each_row_chunk(obuf, bn, ar * ak * bn, kernel);
+}
+
+/// A right-hand operand `B` (`kd × bn`) laid out once for many products,
+/// such as a recurrent weight multiplied at every timestep.
+///
+/// Under a SIMD level it holds the `NR`-column panels the microkernel
+/// streams, so [`matmul_packed_into`] skips the per-call repack that
+/// [`matmul_into`] pays. Under the scalar level it only holds `B` and
+/// [`matmul_packed_into`] runs the scalar kernel. Either way the result
+/// is bit-identical to [`matmul_into`] against the same `B`: packing only
+/// moves data.
+pub struct PackedB {
+    kd: usize,
+    bn: usize,
+    layout: Layout,
+}
+
+enum Layout {
+    /// Microkernel panels (pool-backed; recycled on drop).
+    Panels(Vec<f32>),
+    /// `B` as a row-major `[kd, bn]` tensor, for the scalar kernel.
+    Plain(Tensor),
+}
+
+impl PackedB {
+    /// Packs `B[k, n]` as stored.
+    pub fn pack(b: &Tensor) -> PackedB {
+        let (kd, bn) = b.shape().as_matrix();
+        if simd::active_level() == Level::Scalar {
+            // A shared view, not a copy: tensors are copy-on-write.
+            return PackedB { kd, bn, layout: Layout::Plain(b.clone()) };
+        }
+        PackedB { kd, bn, layout: Layout::Panels(pack_panels(b.data(), kd, bn, bn, 1)) }
+    }
+
+    /// Packs `Bᵀ` from a `[n, k]` tensor without materializing the
+    /// transpose (under a SIMD level): the operand of `A · Bᵀ`.
+    pub fn pack_t(b: &Tensor) -> PackedB {
+        let (bn, kd) = b.shape().as_matrix();
+        if simd::active_level() == Level::Scalar {
+            return PackedB { kd, bn, layout: Layout::Plain(crate::transpose(b)) };
+        }
+        PackedB { kd, bn, layout: Layout::Panels(pack_panels(b.data(), kd, bn, 1, kd)) }
+    }
+}
+
+impl Drop for PackedB {
+    fn drop(&mut self) {
+        if let Layout::Panels(panels) = &mut self.layout {
+            crate::pool::recycle(std::mem::take(panels));
+        }
+    }
+}
+
+/// `C[r, n] = A[r, k] · B[k, n]` against a [`PackedB`], written into
+/// `out`. Bit-identical to [`matmul_into`] with the `B` that was packed.
+pub fn matmul_packed_into(a: &Tensor, b: &PackedB, out: &mut Tensor) {
+    let (ar, ak) = a.shape().as_matrix();
+    assert_eq!(ak, b.kd, "matmul inner dims differ: {ak} vs {}", b.kd);
+    out.prepare_out(&[ar, b.bn]);
+    let obuf = out.data_mut();
+    if obuf.is_empty() {
+        // Zero-sized output: nothing to compute (and chunks_mut(0) would
+        // panic when bn == 0).
+        return;
+    }
+    match &b.layout {
+        Layout::Panels(panels) => packed_product(obuf, a.data(), ak, 1, panels, ak, b.bn, true),
+        Layout::Plain(plain) => scalar_matmul(obuf, a.data(), ak, plain.data(), b.bn),
+    }
+}
+
+/// `C[r, n] = A[r, k] · B[k, n]`, written into `out`.
+pub fn matmul_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
+    let (_, ak) = a.shape().as_matrix();
+    let (bk, _) = b.shape().as_matrix();
+    assert_eq!(ak, bk, "matmul inner dims differ: {ak} vs {bk}");
+    matmul_packed_into(a, &PackedB::pack(b), out);
 }
 
 /// `C[r, n] = A[r, k] · B[k, n]`.
@@ -313,14 +411,8 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
     // zero-skip), so the result is bit-identical to the row-dot form —
     // that form serializes on a single scalar accumulator, which is what
     // made this the slowest of the three kernels.
-    let mut bt = crate::pool::take_buf(bk * bn);
-    for j in 0..bn {
-        let brow = &bdata[j * bk..(j + 1) * bk];
-        for (k, &v) in brow.iter().enumerate() {
-            bt[k * bn + j] = v;
-        }
-    }
-    let btref = &bt;
+    let bt = crate::transpose(b);
+    let btref = bt.data();
     let kernel = |i0: usize, chunk: &mut [f32]| {
         let row0 = i0 * PAR_ROW_CHUNK;
         for (local, row) in chunk.chunks_mut(bn).enumerate() {
@@ -334,7 +426,6 @@ pub fn matmul_a_bt_into(a: &Tensor, b: &Tensor, out: &mut Tensor) {
         }
     };
     for_each_row_chunk(obuf, bn, ar * ak * bn, kernel);
-    crate::pool::recycle(bt);
 }
 
 /// `C[r, n] = A[r, k] · B[n, k]ᵀ` — i.e. `A · Bᵀ` without materializing the

@@ -44,16 +44,39 @@ use ea_comms::{
     ShardChannel, ShardClient, TcpConfig, TcpTransport, Transport,
 };
 use ea_runtime::{ElasticWorker, SupervisedWorker, SupervisorConfig, WorkerMode};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-/// Wraps a channel with a fixed delay on the submit path — the
-/// straggler-injection knob (`--slow-ms`) for the ops e2e test. The
-/// sleep lands inside the worker's per-round submit span, so the
+/// Wraps a channel with a submit-path delay that scales with this
+/// worker's own round time — the straggler-injection knob
+/// (`--slow-factor`) for the ops e2e test. Before each submit it sleeps
+/// `factor` × (the time since the round's pull returned + the previous
+/// submit's duration), so the worker's own time (compute + submit)
+/// grows about `1 + factor`-fold however fast the build or the host is.
+/// The sleep lands inside the worker's per-round submit span, so the
 /// collector-side timeline shows this pipeline genuinely lagging.
 struct SlowChannel {
     inner: Arc<dyn ShardChannel>,
-    delay: Duration,
+    factor: f64,
+    /// When the last pull returned, and how long the last submit took.
+    last: Mutex<(Option<Instant>, Duration)>,
+}
+
+impl SlowChannel {
+    fn pulled(&self) {
+        self.last.lock().unwrap().0 = Some(Instant::now());
+    }
+
+    /// Sleeps the injected lag, runs `submit`, and records its duration.
+    fn lagged<T>(&self, submit: impl FnOnce() -> T) -> T {
+        let (pulled, last_submit) = *self.last.lock().unwrap();
+        let own = pulled.map_or(Duration::ZERO, |t| t.elapsed()) + last_submit;
+        std::thread::sleep(own.mul_f64(self.factor));
+        let t0 = Instant::now();
+        let out = submit();
+        self.last.lock().unwrap().1 = t0.elapsed();
+        out
+    }
 }
 
 impl ShardChannel for SlowChannel {
@@ -61,7 +84,9 @@ impl ShardChannel for SlowChannel {
         self.inner.n_shards()
     }
     fn pull(&self, pipe: usize, shard: usize, version: u64) -> Result<Vec<f32>, CommsError> {
-        self.inner.pull(pipe, shard, version)
+        let out = self.inner.pull(pipe, shard, version);
+        self.pulled();
+        out
     }
     fn submit(
         &self,
@@ -70,11 +95,12 @@ impl ShardChannel for SlowChannel {
         round: u64,
         delta: Vec<f32>,
     ) -> Result<(), CommsError> {
-        std::thread::sleep(self.delay);
-        self.inner.submit(pipe, shard, round, delta)
+        self.lagged(|| self.inner.submit(pipe, shard, round, delta))
     }
     fn pull_latest(&self, pipe: usize, shard: usize) -> Result<(u64, Vec<f32>), CommsError> {
-        self.inner.pull_latest(pipe, shard)
+        let out = self.inner.pull_latest(pipe, shard);
+        self.pulled();
+        out
     }
     fn heartbeat(&self, pipe: usize, round: u64) -> Result<QuorumInfo, CommsError> {
         self.inner.heartbeat(pipe, round)
@@ -83,13 +109,14 @@ impl ShardChannel for SlowChannel {
         self.inner.codec()
     }
     fn pull_all(&self, pipe: usize, version: u64) -> Result<Vec<Vec<f32>>, CommsError> {
-        self.inner.pull_all(pipe, version)
+        let out = self.inner.pull_all(pipe, version);
+        self.pulled();
+        out
     }
     fn submit_all(&self, pipe: usize, round: u64, deltas: Vec<Vec<f32>>) -> Result<(), CommsError> {
-        // One sleep per round, not per shard: override the serial
-        // default so the injected lag is independent of the shard map.
-        std::thread::sleep(self.delay);
-        self.inner.submit_all(pipe, round, deltas)
+        // One lag per round, not per shard: override the serial default
+        // so the injected lag is independent of the shard map.
+        self.lagged(|| self.inner.submit_all(pipe, round, deltas))
     }
 }
 
@@ -132,7 +159,7 @@ fn main() {
     let mut round_delay = Duration::ZERO;
     let mut crash_at_round: Option<u64> = None;
     let mut ops_push: Option<String> = None;
-    let mut slow_ms: u64 = 0;
+    let mut slow_factor: f64 = 0.0;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -183,12 +210,12 @@ fn main() {
             "--ops-push" => {
                 ops_push = Some(args.next().expect("--ops-push needs a collector HOST:PORT"))
             }
-            "--slow-ms" => {
-                slow_ms = args
+            "--slow-factor" => {
+                slow_factor = args
                     .next()
-                    .expect("--slow-ms needs a value")
+                    .expect("--slow-factor needs a value")
                     .parse()
-                    .expect("--slow-ms: integer milliseconds")
+                    .expect("--slow-factor: a multiple of the worker's own round time")
             }
             "--help" | "-h" => {
                 println!(
@@ -196,7 +223,7 @@ fn main() {
                      [--codec f32|f16|int8|topk] [--pipelines N] [--verify-local] \
                      [--faults] [--tolerate-faults] [--rejoin] [--target-rounds R] \
                      [--round-delay-ms MS] [--crash-at-round K] \
-                     [--ops-push HOST:PORT] [--slow-ms MS]"
+                     [--ops-push HOST:PORT] [--slow-factor F]"
                 );
                 return;
             }
@@ -238,8 +265,9 @@ fn main() {
 
     let mut channel =
         connect_channel(&addrs, pipe, faults, retry, codec).expect("connect to server");
-    if slow_ms > 0 {
-        channel = Arc::new(SlowChannel { inner: channel, delay: Duration::from_millis(slow_ms) });
+    if slow_factor > 0.0 {
+        let last = Mutex::new((None, Duration::ZERO));
+        channel = Arc::new(SlowChannel { inner: channel, factor: slow_factor, last });
     }
 
     let task = demo::task();

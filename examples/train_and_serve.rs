@@ -76,11 +76,7 @@ fn main() {
         model(),
         0,
         &analogue_spec(CFG),
-        ServeConfig {
-            input_len: CFG.seq,
-            max_coalesce_delay: Duration::from_millis(1),
-            ..ServeConfig::default()
-        },
+        ServeConfig { input_len: CFG.seq, ..ServeConfig::default() },
     );
 
     // One listener for everything: trainers, subscribers, inference.

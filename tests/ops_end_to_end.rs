@@ -5,8 +5,9 @@
 //! for every completed round of every worker, a worker-side submit span
 //! and a server-side apply span carrying the same exchange span id, in
 //! causal order once the per-process clocks are aligned. A run with one
-//! deliberately slow worker (`--slow-ms`) must be flagged by the
-//! straggler detector, while the uniform fleet must produce no flags.
+//! deliberately slow worker (`--slow-factor`, a lag proportional to its
+//! own measured round time) must be flagged by the straggler detector,
+//! while the uniform fleet must produce no flags.
 //!
 //! The example binaries are compiled by the same `cargo test`
 //! invocation that runs this file, so they are located relative to the
@@ -75,7 +76,7 @@ fn spawn_server(shard_index: usize, collector: &str) -> (Child, String) {
     (child, addr)
 }
 
-fn spawn_worker(pipe: usize, addrs: &[String], collector: &str, slow_ms: u64) -> Child {
+fn spawn_worker(pipe: usize, addrs: &[String], collector: &str, slow_factor: f64) -> Child {
     let mut cmd = Command::new(example_bin("elastic_worker"));
     for a in addrs {
         cmd.args(["--addr", a]);
@@ -90,8 +91,8 @@ fn spawn_worker(pipe: usize, addrs: &[String], collector: &str, slow_ms: u64) ->
         "--ops-push",
         collector,
     ]);
-    if slow_ms > 0 {
-        cmd.args(["--slow-ms", &slow_ms.to_string()]);
+    if slow_factor > 0.0 {
+        cmd.args(["--slow-factor", &slow_factor.to_string()]);
     }
     cmd.env("EA_TRACE", "spans")
         .stdout(Stdio::piped())
@@ -101,9 +102,9 @@ fn spawn_worker(pipe: usize, addrs: &[String], collector: &str, slow_ms: u64) ->
 }
 
 /// Runs the full fleet to completion against a fresh collector and
-/// returns the merged fleet state. `slow_pipe` injects `slow_ms` of
-/// per-round lag into that worker's submit path.
-fn run_fleet(slow_pipe: Option<(usize, u64)>) -> FleetState {
+/// returns the merged fleet state. `slow_pipe` injects a per-round lag
+/// of `factor` × that worker's own round time into its submit path.
+fn run_fleet(slow_pipe: Option<(usize, f64)>) -> FleetState {
     let collector = CollectorServer::bind("127.0.0.1:0").expect("bind collector");
     let collector_addr = collector.local_addr().to_string();
 
@@ -112,8 +113,8 @@ fn run_fleet(slow_pipe: Option<(usize, u64)>) -> FleetState {
     let workers: Vec<Child> = (0..PIPELINES)
         .map(|p| {
             let slow = match slow_pipe {
-                Some((sp, ms)) if sp == p => ms,
-                _ => 0,
+                Some((sp, factor)) if sp == p => factor,
+                _ => 0.0,
             };
             spawn_worker(p, &addrs, &collector_addr, slow)
         })
@@ -235,7 +236,11 @@ fn sharded_fleet_produces_correlated_aligned_trace() {
 #[test]
 fn injected_slow_worker_is_flagged_as_straggler() {
     const SLOW_PIPE: usize = 3;
-    let state = run_fleet(Some((SLOW_PIPE, 40)));
+    // Three times its own round time on top: about 4x its healthy own
+    // time, clear of the detector's 2x factor in debug and release
+    // builds alike (a fixed lag fell under it in debug builds, where
+    // compute and the server apply dominate the round).
+    let state = run_fleet(Some((SLOW_PIPE, 3.0)));
     assert_rounds_correlated(&state);
 
     let report = analyze(state.procs(), &StragglerConfig::default());

@@ -3,12 +3,14 @@
 //! scalar path — or, for the explicitly reassociated reductions, results
 //! that are level-independent by construction — across hostile shapes:
 //! zero dimensions, 1-row/1-column matrices, and lengths that are not a
-//! multiple of the 8-wide lane count.
+//! multiple of the 8-wide lane count. The recurrent layers' outputs and
+//! gradients are also pinned to golden hashes at both levels.
 
+use ea_autograd::{ForwardCtx, GruSeq, Layer, LstmSeq};
 use ea_prop::{prop_assert, prop_assert_eq, prop_assume, properties, Strategy};
 use ea_tensor::{
-    col_sums, log_softmax_rows_into, matmul_a_bt_into, matmul_at_b_into, matmul_into, row_sums,
-    simd, softmax_rows_into, Tensor,
+    col_sums, log_softmax_rows_into, matmul_a_bt_into, matmul_at_b_into, matmul_into,
+    matmul_packed_into, row_sums, simd, softmax_rows_into, transpose, PackedB, Tensor, TensorRng,
 };
 use std::sync::Mutex;
 
@@ -79,6 +81,14 @@ fn fill(seed: u64, n: usize) -> Vec<f32> {
 
 fn mat(seed: u64, r: usize, c: usize) -> Tensor {
     Tensor::from_vec(fill(seed, r * c), &[r, c])
+}
+
+/// Like [`mat`], with every third element exactly zero, so the product
+/// kernels' per-`(row, k)` zero-skip is exercised.
+fn sparse_mat(seed: u64, r: usize, c: usize) -> Tensor {
+    let mut t = mat(seed, r, c);
+    t.data_mut().iter_mut().step_by(3).for_each(|v| *v = 0.0);
+    t
 }
 
 /// A hostile output tensor (wrong shape, NaN contents) that the `_into`
@@ -206,6 +216,43 @@ properties! {
     }
 
     #[test]
+    fn packed_product_matches_matmul_into(m in dim_strategy(), k in dim_strategy(), n in dim_strategy(), seed in 0u64..u64::MAX) {
+        // DIMS covers 0 and 1 rows, odd row counts, `n` off the 16-column
+        // panel width, and k = 0 (an all-zero product).
+        let a = sparse_mat(seed, m, k);
+        let a2 = sparse_mat(seed ^ 0x5151, m + 3, k);
+        let mut b = mat(seed ^ 0x7777, k, n);
+        // An infinity in B turns a product term into NaN unless the zero
+        // in the same column of A is skipped, as `matmul_into` does.
+        if let Some(v) = b.data_mut().first_mut() {
+            *v = f32::INFINITY;
+        }
+        let bt = transpose(&b);
+        let (sc, ve) = on_both_levels(|| {
+            let product = |a: &Tensor, b: &PackedB| {
+                let mut out = dirty_out();
+                matmul_packed_into(a, b, &mut out);
+                out.data().to_vec()
+            };
+            let plain = |a: &Tensor| {
+                let mut out = dirty_out();
+                matmul_into(a, &b, &mut out);
+                out.data().to_vec()
+            };
+            let packed = PackedB::pack(&b);
+            let packed_t = PackedB::pack_t(&bt);
+            // One packing serves several products.
+            [plain(&a), product(&a, &packed), product(&a, &packed_t), plain(&a2), product(&a2, &packed)]
+        });
+        for level in [&sc, &ve] {
+            assert_bits_eq(&level[0], &level[1]);
+            assert_bits_eq(&level[0], &level[2]);
+            assert_bits_eq(&level[3], &level[4]);
+        }
+        assert_bits_eq(&sc[0], &ve[0]);
+    }
+
+    #[test]
     fn softmax_and_sums_match_scalar(r in dim_strategy(), c in dim_strategy(), seed in 0u64..u64::MAX) {
         let t = mat(seed, r, c);
         let (sc, ve) = on_both_levels(|| {
@@ -309,4 +356,112 @@ fn matmul_zero_skip_matches_scalar() {
         out.data().to_vec()
     });
     assert_bits_eq(&sc, &ve);
+}
+
+// ---------------------------------------------------------------------
+// Golden outputs of the recurrent layers. `LstmSeq` and `GruSeq` pack
+// their recurrent weight once per pass instead of once per timestep;
+// packing only moves data, so the forward output, the input gradient
+// and every weight gradient must keep the exact bits the per-timestep
+// kernels produced. The hashes below were computed by those kernels.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over the bit patterns, so a single flipped bit anywhere changes
+/// the hash.
+fn fnv(xs: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in xs {
+        for b in x.to_bits().to_le_bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// A uniform tensor with every fifth element forced to exactly zero, so
+/// the product kernels' zero-skip is exercised.
+fn input(rng: &mut TensorRng, dims: &[usize]) -> Tensor {
+    let mut t = ea_tensor::uniform(dims, -1.0, 1.0, rng);
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        if i % 5 == 0 {
+            *v = 0.0;
+        }
+    }
+    t
+}
+
+/// Hashes of `[y, dx, grads...]` for one forward + backward pass.
+fn run(mut layer: impl Layer, rng: &mut TensorRng, rows: usize, in_dim: usize) -> Vec<u64> {
+    let x = input(rng, &[rows, in_dim]);
+    let (y, saved) = layer.forward(&x, &ForwardCtx::train(0, 0));
+    let dy = input(rng, y.dims());
+    let dx = layer.backward(&saved, &dy);
+    let mut hashes = vec![fnv(y.data()), fnv(dx.data())];
+    layer.visit_params(&mut |p| hashes.push(fnv(p.grad.data())));
+    hashes
+}
+
+/// `(seq, in_dim, hidden, batch)`: odd and single-row batches, widths
+/// that are not a multiple of the 16-column panel, and the serving
+/// model's 32-wide hidden state.
+const CASES: [(usize, usize, usize, usize); 4] =
+    [(5, 6, 5, 3), (4, 3, 7, 1), (8, 32, 32, 1), (8, 32, 32, 6)];
+
+/// Hashes for every case, the layer built by `make` from a per-case seed.
+fn hashes<L: Layer>(
+    seed: u64,
+    make: fn(usize, usize, usize, &mut TensorRng) -> L,
+) -> Vec<Vec<u64>> {
+    CASES
+        .iter()
+        .zip(seed..)
+        .map(|(&(seq, in_dim, hidden, batch), seed)| {
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let layer = make(seq, in_dim, hidden, &mut rng);
+            run(layer, &mut rng, seq * batch, in_dim)
+        })
+        .collect()
+}
+
+/// `[y, dx, d(wx), d(wh), d(b)]` per case, from the per-timestep kernels.
+#[rustfmt::skip]
+const LSTM_GOLDEN: [[u64; 5]; 4] = [
+    [0xf1e5141fce4941d3, 0x409c4cc9631a2a92, 0x277cae294a75243d, 0xa6ab0c1c7d653fed, 0xea7568cd97cb7218],
+    [0x46795f2265447522, 0x34a3369cd6859872, 0xb849d4895a8c202e, 0x84c0b78652272038, 0x69c8e790306fbcc1],
+    [0x2a425aa9f1f6259f, 0xfb41f89a8e57bc63, 0x030d9bfee23f2cd1, 0x6e012496f07df519, 0xcfad0500d3d1a87f],
+    [0x835c46f0977ced09, 0xcf76cef3fd8c6a8f, 0xc891f29e90eb8dd5, 0x72d284e3a15ff5d3, 0x509acf66f9ca5373],
+];
+
+/// `[y, dx, d(wx), d(wh), d(b)]` per case, from the per-timestep kernels.
+#[rustfmt::skip]
+const GRU_GOLDEN: [[u64; 5]; 4] = [
+    [0x81aeaeb687791408, 0x9ccb769e59ed594e, 0x710bb86974c84014, 0x27a1d1e2f79af47f, 0x62dee8ad0766fa43],
+    [0xc78d74a4df93702f, 0x71198675a95a6918, 0x46c350bb24cd0d3e, 0xd23b88e87b8fefd3, 0x3b8684bd42f6932e],
+    [0x2f83757ccdec7070, 0x511fa0cab4d86758, 0x9de14e9b244a06b2, 0x6219a5612e98146b, 0x0b4cafd7c84f6bbe],
+    [0xdd0d11930a6f1f0d, 0x31d4a79457ebc01c, 0xa47f503b8128148e, 0x83c591c05957f615, 0x0bae782c9af5b9ef],
+];
+
+#[track_caller]
+fn assert_golden(layer: &str, got: (Vec<Vec<u64>>, Vec<Vec<u64>>), golden: &[[u64; 5]; 4]) {
+    const NAMES: [&str; 5] = ["y", "dx", "d(wx)", "d(wh)", "d(b)"];
+    for (level, hashes) in [("scalar", got.0), ("detected", got.1)] {
+        for (case, (got, want)) in hashes.iter().zip(golden).enumerate() {
+            for ((g, w), name) in got.iter().zip(want).zip(NAMES) {
+                assert_eq!(
+                    g, w,
+                    "{layer} case {case} {name} at the {level} level: {g:#x} != {w:#x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn lstm_forward_and_gradients_match_golden() {
+    assert_golden("lstm", on_both_levels(|| hashes(100, LstmSeq::new)), &LSTM_GOLDEN);
+}
+
+#[test]
+fn gru_forward_and_gradients_match_golden() {
+    assert_golden("gru", on_both_levels(|| hashes(200, GruSeq::new)), &GRU_GOLDEN);
 }
